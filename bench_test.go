@@ -650,8 +650,9 @@ func BenchmarkStudyCrawlFaults(b *testing.B) {
 // facade with crash-safe checkpointing in the loop. off runs the same
 // 5-engine, 200-iteration study with checkpointing disabled — CI gates
 // it at <3% ns/op over BenchmarkStudyCrawl, pinning that the resume
-// plumbing costs nothing when off. on checkpoints to a temp file at the
-// default interval (periodic atomic write + fsync, final removal) and
+// plumbing costs nothing when off. on journals every iteration to a
+// temp file, committing at the default interval (append + fsync, header
+// rewrite + fsync, final removal) and
 // is recorded informationally in BENCH_checkpoint.json as the price of
 // crash safety.
 func BenchmarkStudyCrawlCheckpoint(b *testing.B) {

@@ -3,6 +3,7 @@ package searchads_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"math/rand"
@@ -184,6 +185,64 @@ func TestResumeCorruptCheckpoint(t *testing.T) {
 	}
 	if !bytes.Equal(saveBytes(t, got), saveBytes(t, want)) {
 		t.Fatal("clean restart after corruption diverges from the plain run")
+	}
+}
+
+// TestResumeTornTail pins recovery from a kill mid-append: bytes past
+// the journal's committed length — garbage or a partial record — are
+// ignored, and the resumed run is byte-identical to an uninterrupted
+// one. A file cut below its committed length is corrupt.
+func TestResumeTornTail(t *testing.T) {
+	base := searchads.Config{Seed: 11, Engines: []string{searchads.Bing, searchads.Google}, QueriesPerEngine: 5, CheckpointEvery: 2}
+	want, err := searchads.NewStudy(base).Crawl(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// kill leaves a committed journal and returns its bytes.
+	kill := func(cfg searchads.Config) []byte {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		if _, err := searchads.NewStudy(killAt(cfg, 5, cancel)).Resume(ctx); !errors.Is(err, searchads.ErrCanceled) {
+			t.Fatalf("kill run: %v", err)
+		}
+		data, err := os.ReadFile(cfg.Checkpoint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	dir := t.TempDir()
+	for name, tail := range map[string][]byte{
+		"garbage":        []byte("\x00\xff torn garbage after the commit"),
+		"partial record": {200, 0, 0, 0, 1, 2, 3, 4, 'i', 0, 0},
+	} {
+		cfg := base
+		cfg.Checkpoint = filepath.Join(dir, name+".ckpt")
+		data := kill(cfg)
+		if err := os.WriteFile(cfg.Checkpoint, append(data, tail...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := searchads.NewStudy(cfg).Resume(context.Background())
+		if err != nil {
+			t.Fatalf("%s: resume: %v", name, err)
+		}
+		if !bytes.Equal(saveBytes(t, got), saveBytes(t, want)) {
+			t.Fatalf("%s: resumed dataset diverges from the uninterrupted run", name)
+		}
+	}
+
+	cfg := base
+	cfg.Checkpoint = filepath.Join(dir, "cut.ckpt")
+	data := kill(cfg)
+	committed := 96 + int(binary.LittleEndian.Uint64(data[8:16])) // header + committed records
+	if committed == 96 {
+		t.Fatal("kill run committed no records")
+	}
+	if err := os.WriteFile(cfg.Checkpoint, data[:committed-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := searchads.NewStudy(cfg).Resume(context.Background()); !errors.Is(err, searchads.ErrCheckpointCorrupt) {
+		t.Fatalf("journal cut below its committed length: got %v, want ErrCheckpointCorrupt", err)
 	}
 }
 

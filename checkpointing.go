@@ -4,22 +4,20 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io/fs"
-	"time"
 
 	"searchads/internal/checkpoint"
 	"searchads/internal/crawler"
-	"searchads/internal/telemetry"
 )
 
 // Crash-safe checkpointing sentinels, re-exported from
 // internal/checkpoint and matchable with errors.Is.
 var (
 	// ErrCheckpointCorrupt reports a checkpoint file that failed
-	// structural verification (truncation, flipped bits, torn writes,
-	// inconsistent state). The safe reaction is a clean restart — delete
-	// the file and run fresh; a corrupt checkpoint is never resumed into
-	// a wrong report.
+	// structural verification (a file cut below its committed length,
+	// flipped bits, a torn header, inconsistent state). Bytes a kill
+	// left past the last commit are not damage: Resume ignores them.
+	// The safe reaction is a clean restart — delete the file and run
+	// fresh; a corrupt checkpoint is never resumed into a wrong report.
 	ErrCheckpointCorrupt = checkpoint.ErrCheckpointCorrupt
 	// ErrCheckpointMismatch reports a structurally valid checkpoint that
 	// belongs to a different configuration (or a sweep checkpoint handed
@@ -28,10 +26,10 @@ var (
 	ErrCheckpointMismatch = checkpoint.ErrCheckpointMismatch
 )
 
-// DefaultCheckpointEvery is the default checkpoint write interval, in
+// DefaultCheckpointEvery is the default checkpoint commit interval, in
 // crawled iterations. The interval trades redone work after a kill
-// against checkpoint-write overhead; it never affects output bytes.
-const DefaultCheckpointEvery = 25
+// against commit overhead; it never affects output bytes.
+const DefaultCheckpointEvery = checkpoint.DefaultEvery
 
 // configHash fingerprints every Config field that influences output
 // bytes — and nothing that does not: Parallel (and the checkpointing
@@ -78,7 +76,7 @@ func (s *Study) configHash() (string, error) {
 // ErrCheckpointCorrupt; one from a different configuration wraps
 // ErrCheckpointMismatch. Neither ever yields a silently wrong dataset.
 //
-// Cancellation mid-crawl writes a final checkpoint, then returns the
+// Cancellation mid-crawl commits the journal, then returns the
 // partial dataset alongside an error wrapping ErrCanceled — call Resume
 // again (even from a new process, with a new parallelism) to continue.
 // On success the checkpoint file is removed.
@@ -92,28 +90,35 @@ func (s *Study) Resume(ctx context.Context) (*Dataset, error) {
 	if s.dataset != nil {
 		return s.dataset, nil
 	}
-	snap, err := checkpoint.Load(s.cfg.Checkpoint)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return s.crawlCheckpointed(ctx, nil)
-		}
-		return nil, err
-	}
-	hash, err := s.configHash()
-	if err != nil {
-		return nil, err
-	}
-	if err := snap.Verify("study", hash); err != nil {
-		return nil, err
-	}
-	return s.crawlCheckpointed(ctx, snap.Study.Iterations)
+	return s.crawlCheckpointed(ctx, true)
 }
 
-// crawlCheckpointed runs the live crawl with periodic checkpoint
-// writes, fast-forwarded past an already-crawled prefix. The dataset it
-// caches holds prefix + freshly crawled tail in dataset order.
-func (s *Study) crawlCheckpointed(ctx context.Context, prefix []*Iteration) (*Dataset, error) {
+// crawlCheckpointed runs the live crawl, journaling each iteration to
+// Config.Checkpoint. With resume it continues the journal there
+// (starting one when none exists), fast-forwarded past the crawled
+// prefix it holds; without, a fresh journal replaces any file there.
+// The dataset it caches holds prefix + freshly crawled tail in dataset
+// order.
+func (s *Study) crawlCheckpointed(ctx context.Context, resume bool) (*Dataset, error) {
 	hash, err := s.configHash()
+	if err != nil {
+		return nil, err
+	}
+	opts := checkpoint.Options{Every: s.cfg.CheckpointEvery, Telemetry: s.cfg.Telemetry}
+	var j *checkpoint.Journal
+	var prefix []*Iteration
+	if resume {
+		var st *checkpoint.State
+		j, st, err = checkpoint.Open(s.cfg.Checkpoint, checkpoint.KindStudy, hash, opts)
+		if err == nil {
+			prefix = make([]*Iteration, len(st.Records))
+			for i, rec := range st.Records {
+				prefix[i] = rec.Iteration
+			}
+		}
+	} else {
+		j, err = checkpoint.Create(s.cfg.Checkpoint, checkpoint.KindStudy, hash, opts)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -126,35 +131,12 @@ func (s *Study) crawlCheckpointed(ctx context.Context, prefix []*Iteration) (*Da
 	c := crawler.New(ccfg)
 	ds := c.NewDataset()
 	ds.Iterations = append(ds.Iterations, prefix...)
-	every := s.cfg.CheckpointEvery
-	if every <= 0 {
-		every = DefaultCheckpointEvery
-	}
-	since := 0
-	save := func() error {
-		tele := s.cfg.Telemetry
-		if tele == nil {
-			return checkpoint.Save(s.cfg.Checkpoint, checkpoint.NewStudySnapshot(hash, ds.Iterations))
-		}
-		start := time.Now()
-		n, err := checkpoint.SaveN(s.cfg.Checkpoint, checkpoint.NewStudySnapshot(hash, ds.Iterations))
-		wall := time.Since(start)
-		tele.ObserveWall(telemetry.StageCheckpointWrite, wall)
-		tele.Inc(telemetry.CounterCheckpointWrites)
-		tele.Add(telemetry.CounterCheckpointBytes, uint64(n))
-		ev := telemetry.Event{Type: "checkpoint", Bytes: n, WallMicros: wall.Microseconds()}
-		if err != nil {
-			ev.Err = err.Error()
-		}
-		tele.Emit(ev)
-		return err
-	}
 	for it, iterErr := range c.Iterations(ctx) {
 		if iterErr != nil {
-			// Write the final checkpoint before surfacing the abort so a
-			// kill at this boundary loses at most the interval's work.
-			if saveErr := save(); saveErr != nil {
-				iterErr = errors.Join(iterErr, saveErr)
+			// Commit the journal before surfacing the abort so a kill
+			// at this boundary loses no crawled iteration.
+			if closeErr := j.Close(); closeErr != nil {
+				iterErr = errors.Join(iterErr, closeErr)
 			}
 			return ds, wrapCanceled(iterErr)
 		}
@@ -162,15 +144,13 @@ func (s *Study) crawlCheckpointed(ctx context.Context, prefix []*Iteration) (*Da
 			s.cfg.Sink(it)
 		}
 		ds.Iterations = append(ds.Iterations, it)
-		if since++; since >= every {
-			if err := save(); err != nil {
-				return ds, fmt.Errorf("searchads: checkpoint write: %w", err)
-			}
-			since = 0
+		if err := j.Append(0, it); err != nil {
+			j.Close()
+			return ds, fmt.Errorf("searchads: checkpoint write: %w", err)
 		}
 	}
 	s.dataset = ds
-	if err := checkpoint.Remove(s.cfg.Checkpoint); err != nil {
+	if err := j.Discard(); err != nil {
 		// The dataset is complete and cached; a leftover checkpoint only
 		// costs the next Resume a no-op load, so report but keep it.
 		return ds, err

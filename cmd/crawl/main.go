@@ -19,8 +19,8 @@
 // summary, and the exit status stays zero unless a non-fault error —
 // bad config, cancellation, an unwritable output — occurs.
 //
-// With -checkpoint, the crawl periodically writes a crash-safe progress
-// file; SIGINT writes a final checkpoint before exiting 130 and prints
+// With -checkpoint, the crawl journals every iteration to a crash-safe
+// progress file, committed periodically; SIGINT writes a final checkpoint before exiting 130 and prints
 // the exact -resume invocation. Re-running with -resume continues from
 // the checkpoint and produces a dataset byte-identical to an
 // uninterrupted crawl. A damaged checkpoint is discarded with a warning

@@ -1,50 +1,70 @@
 // Package checkpoint is the crash-safe progress store behind resumable
-// studies and sweeps: a killed run restarts from its last checkpoint
-// and produces output byte-identical to a run that was never
-// interrupted.
+// studies and sweeps: a killed run restarts from its last commit and
+// produces output byte-identical to a run that was never interrupted.
 //
-// # File format
+// # Journal layout
 //
-// A checkpoint file is a fixed binary header followed by a JSON
-// payload:
+// A checkpoint is an append-only journal: a fixed header followed by
+// length-prefixed, CRC-framed records. Integers are little-endian.
 //
-//	bytes 0..3   magic "SACK"
-//	bytes 4..7   format version, uint32 little-endian (currently 1)
-//	bytes 8..15  payload length, uint64 little-endian
-//	bytes 16..19 CRC-32 (IEEE) of the payload, uint32 little-endian
-//	bytes 20..   the JSON-encoded Snapshot
+//	header (96 bytes)
+//	  bytes 0..3    magic "SACK"
+//	  bytes 4..7    format version, uint32 (currently 2)
+//	  bytes 8..15   committed length: record bytes after the header, uint64
+//	  bytes 16..23  committed record count, uint64
+//	  byte  24      kind: 1 study, 2 sweep
+//	  byte  25      config hash length (at most 64)
+//	  bytes 26..89  config hash, zero-padded
+//	  bytes 90..91  reserved, zero
+//	  bytes 92..95  CRC-32 (IEEE) of bytes 0..91
 //
-// Load verifies all four fields before parsing a byte of JSON: a
-// truncated file, a flipped bit, or a torn write surfaces as
-// ErrCheckpointCorrupt — never as a silently wrong resume. A file
-// written by a newer release surfaces as ErrCheckpointVersion, and a
-// checkpoint whose config hash differs from the run trying to resume
-// it as ErrCheckpointMismatch (see Snapshot.Verify).
+//	record
+//	  bytes 0..3    payload length, uint32
+//	  bytes 4..7    CRC-32 (IEEE) of the payload
+//	  bytes 8..     payload: type byte ('i' iteration, 'd' cell done),
+//	                cell index uint32, JSON body
 //
-// # Atomicity
+// An iteration record holds one crawled iteration (in a sweep, of the
+// cell it names; study journals use cell 0). A cell-done record holds a
+// completed sweep cell's serialized result.
 //
-// Save never exposes a partially-written checkpoint: it writes to a
-// temporary file in the target directory, fsyncs it, renames it over
-// the destination, and fsyncs the directory. A process killed at any
-// instant therefore leaves either the previous complete checkpoint or
-// the new complete checkpoint — the kill-point property tests exercise
-// exactly this.
+// # Commit protocol
 //
-// # What a snapshot holds
+// A Journal frames each record as it is appended and buffers the bytes
+// until the next commit. A commit appends the buffered records right
+// after the committed length, fsyncs, rewrites the header's committed
+// length and count, and fsyncs again. Each commit writes only its own
+// records plus the 96-byte header, so a run's total checkpoint I/O is
+// linear in its length, and every iteration is encoded exactly once.
 //
-// Progress state is stored in replay form: the (engine, iteration)
-// cursor plus the emitted iteration prefix in dataset order. The
-// analysis accumulator is deliberately NOT serialized structurally —
-// its state is a pure function of the folded prefix (the Merge
-// property tests pin this), so restoring it is a re-fold of the saved
-// iterations through a fresh analysis.Accumulator, which is guaranteed
-// byte-identical where a hand-serialized mirror of interned-id state
-// could silently drift. Sweep snapshots hold one CellState per matrix
-// cell: completed cells keep only their scalar result, the in-flight
-// cells their cursor and prefix.
+// Load trusts only the committed region. A kill mid-append leaves
+// bytes past the committed length: Load ignores them, and a resumed
+// writer truncates them before its first append. A kill that tears the
+// header rewrite fails the header CRC, so the file fails safe as
+// ErrCheckpointCorrupt — never a silently shorter or wrong resume. Any
+// damage inside the committed region is ErrCheckpointCorrupt too: a
+// file cut below the committed length, a record CRC mismatch, a record
+// count disagreeing with the header, bad JSON, a null or empty record.
+// A file in any other format revision, older or newer, surfaces as
+// ErrCheckpointVersion, and a journal whose kind or config hash differs
+// from the resuming run's as ErrCheckpointMismatch (see State.Verify).
+//
+// # What the journal holds
+//
+// Progress is stored in replay form: the emitted iterations in dataset
+// order. The (engine, iteration) cursor is re-derived from them with
+// crawler.ResumeFromIterations, and the analysis accumulator is
+// deliberately NOT serialized structurally — its state is a pure
+// function of the folded prefix (the Merge property tests pin this), so
+// restoring it is a re-fold of the journaled iterations through a fresh
+// analysis.Accumulator, which is guaranteed byte-identical where a
+// hand-serialized mirror of interned-id state could silently drift. A
+// sweep journal interleaves its in-flight cells' iterations; a
+// completed cell's done record supersedes its iterations on resume.
 package checkpoint
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -53,88 +73,110 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io/fs"
+	"math"
 	"os"
+	"sync"
+	"time"
 
 	"searchads/internal/atomicfile"
 	"searchads/internal/crawler"
+	"searchads/internal/telemetry"
 )
 
 // Typed sentinel errors, matchable with errors.Is.
 var (
 	// ErrCheckpointCorrupt reports a checkpoint file that failed
-	// structural verification: bad magic, truncated payload, CRC
-	// mismatch, unparsable JSON, or internally inconsistent state. The
-	// safe reaction is a clean restart from scratch — never a resume.
+	// structural verification: bad magic, a torn header, a file shorter
+	// than its committed length, a record CRC mismatch, unparsable JSON,
+	// or internally inconsistent state. The safe reaction is a clean
+	// restart from scratch — never a resume.
 	ErrCheckpointCorrupt = errors.New("checkpoint: corrupt or truncated checkpoint")
 	// ErrCheckpointMismatch reports a structurally valid checkpoint
 	// that belongs to a different run: its config/matrix hash does not
 	// match the configuration trying to resume it. Resuming would
 	// stitch two different studies together, so the load refuses.
 	ErrCheckpointMismatch = errors.New("checkpoint: checkpoint belongs to a different configuration")
-	// ErrCheckpointVersion reports a checkpoint written by an
-	// unsupported (newer) format revision.
+	// ErrCheckpointVersion reports a checkpoint written in a format
+	// revision this release does not read: an older layout (such as
+	// the version-1 whole-state snapshot) or a newer one.
 	ErrCheckpointVersion = errors.New("checkpoint: unsupported checkpoint format version")
 )
 
 // FormatVersion is the current on-disk format revision.
-const FormatVersion = 1
+const FormatVersion = 2
+
+// DefaultEvery is the default commit interval, in appended iterations.
+// The interval trades redone work after a kill against commit overhead;
+// it never affects output bytes.
+const DefaultEvery = 25
+
+// Journal kinds.
+const (
+	KindStudy = "study"
+	KindSweep = "sweep"
+)
 
 var magic = [4]byte{'S', 'A', 'C', 'K'}
 
-const headerSize = 20
+const (
+	headerSize = 96
+	maxHashLen = 64
+	// frameSize is a record's length + CRC prefix; recordHead the type
+	// byte and cell index that open its payload.
+	frameSize  = 8
+	recordHead = 5
+)
 
-// Snapshot is one run's checkpointed progress: exactly one of Study or
-// Sweep is set, according to Kind.
-type Snapshot struct {
-	// Kind is "study" or "sweep".
-	Kind string `json:"kind"`
-	// ConfigHash fingerprints the run's configuration (HashConfig of
-	// the caller's canonical config form). Resume refuses a snapshot
-	// whose hash differs from the resuming run's.
-	ConfigHash string `json:"config_hash"`
-	// Study is the single-study state (Kind == "study").
-	Study *StudyState `json:"study,omitempty"`
-	// Sweep is the sweep-campaign state (Kind == "sweep").
-	Sweep *SweepState `json:"sweep,omitempty"`
+// Record types.
+const (
+	recIteration byte = 'i'
+	recCellDone  byte = 'd'
+)
+
+// kindCodes maps a kind byte to its name; index 0 is invalid.
+var kindCodes = [...]string{1: KindStudy, 2: KindSweep}
+
+func kindCode(kind string) (byte, bool) {
+	for code, name := range kindCodes {
+		if code > 0 && name == kind {
+			return byte(code), true
+		}
+	}
+	return 0, false
 }
 
-// StudyState is a single study's progress: the crawled prefix in
-// dataset order. The (engine, iteration) cursor and the ad-choice
-// visited sets are re-derived from it with crawler.ResumeFromIterations,
-// and the analysis accumulator by re-folding it.
-type StudyState struct {
-	// Cursor maps engine name → completed iteration count — recorded
-	// explicitly so Load can cross-check it against the prefix (a
-	// disagreement means the file is corrupt) and so operators can read
-	// progress off the file without parsing iterations.
-	Cursor map[string]int `json:"cursor"`
-	// Iterations is the emitted iteration prefix, in dataset order.
-	Iterations []*crawler.Iteration `json:"iterations"`
-}
-
-// SweepState is a sweep campaign's progress.
-type SweepState struct {
-	// Cells holds one entry per matrix cell, in expansion order.
-	Cells []CellState `json:"cells"`
-}
-
-// CellState is one sweep cell's checkpointed status.
-type CellState struct {
-	Scenario string `json:"scenario"`
-	Seed     int64  `json:"seed"`
-	// Done marks a completed cell; Result carries its serialized
+// Record is one committed journal record: either an iteration of
+// Cell's crawl or Cell's completion result.
+type Record struct {
+	// Cell is the sweep cell index (0 in study journals).
+	Cell int
+	// Iteration is set on iteration records.
+	Iteration *crawler.Iteration
+	// Result is set on cell-done records: the serialized
 	// sweep.CellResult (opaque to this package — the sweep layer owns
 	// the type).
-	Done   bool            `json:"done,omitempty"`
-	Result json.RawMessage `json:"result,omitempty"`
-	// Iterations is an in-flight cell's emitted prefix (nil for
-	// pending and completed cells); resume fast-forwards the cell's
-	// crawl past it.
-	Iterations []*crawler.Iteration `json:"iterations,omitempty"`
+	Result json.RawMessage
 }
 
-// Verify checks the snapshot against the resuming run's identity.
-func (s *Snapshot) Verify(kind, configHash string) error {
+// State is a journal's committed content, as Load decodes it.
+type State struct {
+	// Kind is KindStudy or KindSweep.
+	Kind string
+	// ConfigHash fingerprints the run's configuration (HashConfig of
+	// the caller's canonical config form). Resume refuses a journal
+	// whose hash differs from the resuming run's.
+	ConfigHash string
+	// Records holds the committed records in write order.
+	Records []Record
+
+	// length and count are the header's committed length and record
+	// count: where a resumed writer appends next.
+	length int64
+	count  uint64
+}
+
+// Verify checks the journal against the resuming run's identity.
+func (s *State) Verify(kind, configHash string) error {
 	if s.Kind != kind {
 		return fmt.Errorf("%w: checkpoint is a %s, not a %s", ErrCheckpointMismatch, s.Kind, kind)
 	}
@@ -144,91 +186,264 @@ func (s *Snapshot) Verify(kind, configHash string) error {
 	return nil
 }
 
-// validate cross-checks internal consistency after a structurally
-// sound load.
-func (s *Snapshot) validate() error {
-	switch s.Kind {
-	case "study":
-		if s.Study == nil {
-			return fmt.Errorf("%w: study snapshot has no study state", ErrCheckpointCorrupt)
+// Options tune a Journal's writer.
+type Options struct {
+	// Every commits after that many appended iterations
+	// (0 = DefaultEvery).
+	Every int
+	// Telemetry, when set, records every commit: the checkpoint_write
+	// stage, the write and byte counters, and a "checkpoint" event.
+	Telemetry *telemetry.Registry
+}
+
+// Journal is an open checkpoint being appended to. Its methods are
+// safe for concurrent use: sweep workers share one journal.
+type Journal struct {
+	path  string
+	every int
+	tele  *telemetry.Registry
+
+	mu      sync.Mutex
+	f       *os.File
+	hdr     [headerSize]byte
+	length  int64
+	count   uint64
+	buf     bytes.Buffer  // framed records appended since the last commit
+	enc     *json.Encoder // encodes iterations into buf
+	pending int           // records in buf
+	since   int           // iterations appended since the last commit
+	// encodeWall accumulates the time Append spent framing buf's
+	// records, so the commit that writes them reports the whole cost
+	// (telemetry only).
+	encodeWall time.Duration
+}
+
+// Create starts a fresh, empty journal at path, atomically replacing
+// any file already there.
+func Create(path, kind, configHash string, opts Options) (*Journal, error) {
+	j, err := newJournal(path, kind, configHash, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := atomicfile.WriteFile(path, j.hdr[:]); err != nil {
+		return nil, err
+	}
+	if j.f, err = os.OpenFile(path, os.O_RDWR, 0); err != nil {
+		return nil, fmt.Errorf("checkpoint: open %s: %w", path, err)
+	}
+	return j, nil
+}
+
+// Open resumes the journal at path for appending and returns its
+// committed state, or creates a fresh journal (with an empty state)
+// when no file exists. A damaged file surfaces ErrCheckpointCorrupt,
+// one from another run ErrCheckpointMismatch.
+func Open(path, kind, configHash string, opts Options) (*Journal, *State, error) {
+	st, err := Load(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		j, err := Create(path, kind, configHash, opts)
+		if err != nil {
+			return nil, nil, err
 		}
-		counts := make(map[string]int)
-		for _, it := range s.Study.Iterations {
-			if it == nil {
-				return fmt.Errorf("%w: null iteration in prefix", ErrCheckpointCorrupt)
-			}
-			counts[it.Engine]++
-		}
-		if len(counts) != len(s.Study.Cursor) {
-			return fmt.Errorf("%w: cursor names %d engines, prefix holds %d", ErrCheckpointCorrupt, len(s.Study.Cursor), len(counts))
-		}
-		for name, n := range s.Study.Cursor {
-			if counts[name] != n {
-				return fmt.Errorf("%w: cursor says %s=%d but prefix holds %d", ErrCheckpointCorrupt, name, n, counts[name])
-			}
-		}
-	case "sweep":
-		if s.Sweep == nil {
-			return fmt.Errorf("%w: sweep snapshot has no sweep state", ErrCheckpointCorrupt)
-		}
-		for i := range s.Sweep.Cells {
-			c := &s.Sweep.Cells[i]
-			if c.Done && len(c.Iterations) > 0 {
-				return fmt.Errorf("%w: cell %s seed=%d is done but still carries a prefix", ErrCheckpointCorrupt, c.Scenario, c.Seed)
-			}
-		}
-	default:
-		return fmt.Errorf("%w: unknown snapshot kind %q", ErrCheckpointCorrupt, s.Kind)
+		return j, &State{Kind: kind, ConfigHash: configHash}, nil
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := st.Verify(kind, configHash); err != nil {
+		return nil, nil, err
+	}
+	j, err := newJournal(path, kind, configHash, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	j.length, j.count = st.length, st.count
+	if j.f, err = os.OpenFile(path, os.O_RDWR, 0); err != nil {
+		return nil, nil, fmt.Errorf("checkpoint: open %s: %w", path, err)
+	}
+	// Drop a torn tail so the next append lands right after the
+	// committed region.
+	if err := j.f.Truncate(headerSize + j.length); err != nil {
+		j.f.Close()
+		return nil, nil, fmt.Errorf("checkpoint: truncate %s: %w", path, err)
+	}
+	return j, st, nil
+}
+
+func newJournal(path, kind, configHash string, opts Options) (*Journal, error) {
+	code, ok := kindCode(kind)
+	if !ok {
+		return nil, fmt.Errorf("checkpoint: unknown journal kind %q", kind)
+	}
+	if len(configHash) > maxHashLen {
+		return nil, fmt.Errorf("checkpoint: config hash is %d bytes, at most %d fit", len(configHash), maxHashLen)
+	}
+	every := opts.Every
+	if every <= 0 {
+		every = DefaultEvery
+	}
+	j := &Journal{path: path, every: every, tele: opts.Telemetry}
+	j.enc = json.NewEncoder(&j.buf)
+	copy(j.hdr[0:4], magic[:])
+	binary.LittleEndian.PutUint32(j.hdr[4:8], FormatVersion)
+	j.hdr[24] = code
+	j.hdr[25] = byte(len(configHash))
+	copy(j.hdr[26:26+maxHashLen], configHash)
+	j.sealHeader(0, 0)
+	return j, nil
+}
+
+// sealHeader writes the commit fields and the header CRC.
+func (j *Journal) sealHeader(length int64, count uint64) {
+	binary.LittleEndian.PutUint64(j.hdr[8:16], uint64(length))
+	binary.LittleEndian.PutUint64(j.hdr[16:24], count)
+	binary.LittleEndian.PutUint32(j.hdr[92:96], crc32.ChecksumIEEE(j.hdr[:92]))
+}
+
+// Append journals one crawled iteration of cell, committing once Every
+// iterations have accumulated since the last commit. The iteration is
+// encoded at once, while its data is still hot in cache; the journal
+// keeps its bytes, not the iteration.
+func (j *Journal) Append(cell int, it *crawler.Iteration) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	var start time.Time
+	if j.tele != nil {
+		start = time.Now()
+	}
+	err := j.add(cell, it, nil)
+	if j.tele != nil {
+		j.encodeWall += time.Since(start)
+	}
+	if err != nil {
+		return err
+	}
+	if j.since++; j.since >= j.every {
+		return j.commit()
 	}
 	return nil
 }
 
-// NewStudySnapshot builds a study snapshot from the emitted prefix.
-func NewStudySnapshot(configHash string, prefix []*crawler.Iteration) *Snapshot {
-	cursor := make(map[string]int)
-	for _, it := range prefix {
-		cursor[it.Engine]++
+// Done journals a completed sweep cell's serialized result and commits
+// at once, so a kill after Done returns never re-runs the cell.
+func (j *Journal) Done(cell int, result json.RawMessage) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if err := j.add(cell, nil, result); err != nil {
+		return err
 	}
-	return &Snapshot{
-		Kind:       "study",
-		ConfigHash: configHash,
-		Study:      &StudyState{Cursor: cursor, Iterations: prefix},
-	}
+	return j.commit()
 }
 
-// Save atomically writes the snapshot: marshal, CRC, temp file in the
-// destination directory, fsync, rename, directory fsync. Either the
-// old or the new checkpoint survives a kill at any instant.
-func Save(path string, s *Snapshot) error {
-	_, err := SaveN(path, s)
+// add frames one record onto buf: length and CRC, then the type byte,
+// cell index and JSON body — an iteration record when it is set, a
+// cell-done record holding result otherwise.
+func (j *Journal) add(cell int, it *crawler.Iteration, result []byte) error {
+	start := j.buf.Len()
+	var head [frameSize + recordHead]byte
+	j.buf.Write(head[:])
+	typ := recCellDone
+	if it != nil {
+		typ = recIteration
+		if err := j.enc.Encode(it); err != nil {
+			j.buf.Truncate(start)
+			return fmt.Errorf("checkpoint: marshal iteration: %w", err)
+		}
+	} else {
+		j.buf.Write(result)
+	}
+	rec := j.buf.Bytes()[start:]
+	payload := rec[frameSize:]
+	if len(payload) > math.MaxUint32 {
+		j.buf.Truncate(start)
+		return fmt.Errorf("checkpoint: %d-byte record exceeds the frame limit", len(payload))
+	}
+	payload[0] = typ
+	binary.LittleEndian.PutUint32(payload[1:5], uint32(cell))
+	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(rec[4:8], crc32.ChecksumIEEE(payload))
+	j.pending++
+	return nil
+}
+
+// Close commits the pending records and closes the file: the exit path
+// of an interrupted or failed run, whose journal a later run resumes.
+func (j *Journal) Close() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return errors.Join(j.commit(), j.f.Close())
+}
+
+// Discard closes the journal and deletes its file, tolerating the
+// file's absence — the completion path of a successful run.
+func (j *Journal) Discard() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.f.Close()
+	if err := os.Remove(j.path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("checkpoint: remove %s: %w", j.path, err)
+	}
+	return nil
+}
+
+// commit writes the pending records and reports the write to
+// telemetry; callers hold j.mu. With nothing pending it writes nothing.
+func (j *Journal) commit() error {
+	j.since = 0
+	if j.pending == 0 {
+		return nil
+	}
+	if j.tele == nil {
+		_, err := j.write()
+		return err
+	}
+	start := time.Now()
+	n, err := j.write()
+	wall := time.Since(start) + j.encodeWall
+	j.encodeWall = 0
+	j.tele.ObserveWall(telemetry.StageCheckpointWrite, wall)
+	j.tele.Inc(telemetry.CounterCheckpointWrites)
+	j.tele.Add(telemetry.CounterCheckpointBytes, uint64(n))
+	ev := telemetry.Event{Type: "checkpoint", Bytes: n, WallMicros: wall.Microseconds()}
+	if err != nil {
+		ev.Err = err.Error()
+	}
+	j.tele.Emit(ev)
 	return err
 }
 
-// SaveN is Save reporting the number of bytes written (header +
-// payload), for callers accounting checkpoint I/O. On error the count
-// is 0.
-func SaveN(path string, s *Snapshot) (int, error) {
-	payload, err := json.Marshal(s)
-	if err != nil {
-		return 0, fmt.Errorf("checkpoint: marshal snapshot: %w", err)
+// write is one commit: append the framed records past the committed
+// length, fsync, rewrite the header, fsync. It returns the bytes
+// written (records + header), 0 on error. A failed write leaves the
+// committed state and the framed records as they were, so the next
+// commit rewrites the same region.
+func (j *Journal) write() (int, error) {
+	records := j.buf.Bytes()
+	if _, err := j.f.WriteAt(records, headerSize+j.length); err != nil {
+		return 0, fmt.Errorf("checkpoint: append records: %w", err)
 	}
-	buf := make([]byte, headerSize+len(payload))
-	copy(buf[0:4], magic[:])
-	binary.LittleEndian.PutUint32(buf[4:8], FormatVersion)
-	binary.LittleEndian.PutUint64(buf[8:16], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(buf[16:20], crc32.ChecksumIEEE(payload))
-	copy(buf[headerSize:], payload)
-	if err := atomicfile.WriteFile(path, buf); err != nil {
-		return 0, err
+	if err := j.f.Sync(); err != nil {
+		return 0, fmt.Errorf("checkpoint: fsync records: %w", err)
 	}
-	return len(buf), nil
+	length, count := j.length+int64(len(records)), j.count+uint64(j.pending)
+	j.sealHeader(length, count)
+	if _, err := j.f.WriteAt(j.hdr[:], 0); err != nil {
+		return 0, fmt.Errorf("checkpoint: rewrite header: %w", err)
+	}
+	if err := j.f.Sync(); err != nil {
+		return 0, fmt.Errorf("checkpoint: fsync header: %w", err)
+	}
+	j.length, j.count = length, count
+	j.buf.Reset()
+	j.pending = 0
+	return len(records) + headerSize, nil
 }
 
 // Load reads and verifies a checkpoint. It returns fs.ErrNotExist
 // (unwrapped check via errors.Is) when no checkpoint exists,
-// ErrCheckpointCorrupt for any structural damage, and
-// ErrCheckpointVersion for files from a newer format revision.
-func Load(path string) (*Snapshot, error) {
+// ErrCheckpointCorrupt for any damage in the committed region, and
+// ErrCheckpointVersion for files in another format revision.
+func Load(path string) (*State, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
@@ -243,11 +458,12 @@ func Load(path string) (*Snapshot, error) {
 	return s, nil
 }
 
-// Decode verifies and parses checkpoint bytes (the file form Load
-// reads; split out so fuzzing can drive it directly).
-func Decode(data []byte) (*Snapshot, error) {
-	if len(data) < headerSize {
-		return nil, fmt.Errorf("%w: %d bytes is shorter than the %d-byte header", ErrCheckpointCorrupt, len(data), headerSize)
+// Decode verifies and parses journal bytes (the file form Load reads;
+// split out so fuzzing can drive it directly). Bytes past the committed
+// length are ignored.
+func Decode(data []byte) (*State, error) {
+	if len(data) < 8 {
+		return nil, fmt.Errorf("%w: %d bytes is shorter than the magic and version", ErrCheckpointCorrupt, len(data))
 	}
 	if [4]byte(data[0:4]) != magic {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrCheckpointCorrupt, data[0:4])
@@ -255,31 +471,91 @@ func Decode(data []byte) (*Snapshot, error) {
 	if v := binary.LittleEndian.Uint32(data[4:8]); v != FormatVersion {
 		return nil, fmt.Errorf("%w: version %d (this release reads %d)", ErrCheckpointVersion, v, FormatVersion)
 	}
-	n := binary.LittleEndian.Uint64(data[8:16])
-	if n != uint64(len(data)-headerSize) {
-		return nil, fmt.Errorf("%w: header claims %d payload bytes, file holds %d", ErrCheckpointCorrupt, n, len(data)-headerSize)
+	if len(data) < headerSize {
+		return nil, fmt.Errorf("%w: %d bytes is shorter than the %d-byte header", ErrCheckpointCorrupt, len(data), headerSize)
 	}
-	payload := data[headerSize:]
-	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(data[16:20]); got != want {
-		return nil, fmt.Errorf("%w: payload CRC %08x, header says %08x", ErrCheckpointCorrupt, got, want)
+	if got, want := crc32.ChecksumIEEE(data[:92]), binary.LittleEndian.Uint32(data[92:96]); got != want {
+		return nil, fmt.Errorf("%w: header CRC %08x, header says %08x", ErrCheckpointCorrupt, got, want)
 	}
-	var s Snapshot
-	if err := json.Unmarshal(payload, &s); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCheckpointCorrupt, err)
+	code, hashLen := int(data[24]), int(data[25])
+	if code == 0 || code >= len(kindCodes) {
+		return nil, fmt.Errorf("%w: unknown journal kind %d", ErrCheckpointCorrupt, code)
 	}
-	if err := s.validate(); err != nil {
-		return nil, err
+	if hashLen > maxHashLen {
+		return nil, fmt.Errorf("%w: config hash length %d", ErrCheckpointCorrupt, hashLen)
 	}
-	return &s, nil
+	s := &State{
+		Kind:       kindCodes[code],
+		ConfigHash: string(data[26 : 26+hashLen]),
+		count:      binary.LittleEndian.Uint64(data[16:24]),
+	}
+	length := binary.LittleEndian.Uint64(data[8:16])
+	if length > uint64(len(data)-headerSize) {
+		return nil, fmt.Errorf("%w: header commits %d record bytes, file holds %d", ErrCheckpointCorrupt, length, len(data)-headerSize)
+	}
+	s.length = int64(length)
+	done := make(map[int]bool)
+	for rest := data[headerSize : headerSize+length]; len(rest) > 0; {
+		if len(rest) < frameSize {
+			return nil, fmt.Errorf("%w: record %d: torn frame inside the committed region", ErrCheckpointCorrupt, len(s.Records))
+		}
+		n := binary.LittleEndian.Uint32(rest[0:4])
+		if uint64(n) > uint64(len(rest)-frameSize) {
+			return nil, fmt.Errorf("%w: record %d claims %d bytes past the committed region", ErrCheckpointCorrupt, len(s.Records), n)
+		}
+		payload := rest[frameSize : frameSize+n]
+		if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(rest[4:8]); got != want {
+			return nil, fmt.Errorf("%w: record %d CRC %08x, frame says %08x", ErrCheckpointCorrupt, len(s.Records), got, want)
+		}
+		rec, err := s.decodeRecord(payload, done)
+		if err != nil {
+			return nil, fmt.Errorf("%w: record %d: %v", ErrCheckpointCorrupt, len(s.Records), err)
+		}
+		s.Records = append(s.Records, rec)
+		rest = rest[frameSize+n:]
+	}
+	if uint64(len(s.Records)) != s.count {
+		return nil, fmt.Errorf("%w: header commits %d records, committed region holds %d", ErrCheckpointCorrupt, s.count, len(s.Records))
+	}
+	return s, nil
 }
 
-// Remove deletes a checkpoint file, tolerating its absence — the
-// completion path of a successful run.
-func Remove(path string) error {
-	if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("checkpoint: remove %s: %w", path, err)
+// decodeRecord parses one CRC-verified payload. done tracks the sweep
+// cells whose completion was already journaled.
+func (s *State) decodeRecord(payload []byte, done map[int]bool) (Record, error) {
+	if len(payload) < recordHead {
+		return Record{}, fmt.Errorf("%d-byte payload", len(payload))
 	}
-	return nil
+	r := Record{Cell: int(binary.LittleEndian.Uint32(payload[1:5]))}
+	body := payload[recordHead:]
+	if s.Kind == KindStudy && r.Cell != 0 {
+		return r, fmt.Errorf("study record names cell %d", r.Cell)
+	}
+	if done[r.Cell] {
+		return r, fmt.Errorf("cell %d has a record after its completion", r.Cell)
+	}
+	switch payload[0] {
+	case recIteration:
+		if err := json.Unmarshal(body, &r.Iteration); err != nil {
+			return r, err
+		}
+		if r.Iteration == nil || r.Iteration.Engine == "" {
+			return r, fmt.Errorf("null or empty iteration")
+		}
+	case recCellDone:
+		if s.Kind != KindSweep {
+			return r, fmt.Errorf("cell-done record in a %s journal", s.Kind)
+		}
+		body = bytes.TrimSpace(body)
+		if !json.Valid(body) || string(body) == "null" {
+			return r, fmt.Errorf("cell %d result is not a JSON value", r.Cell)
+		}
+		r.Result = json.RawMessage(body)
+		done[r.Cell] = true
+	default:
+		return r, fmt.Errorf("unknown record type %q", payload[0])
+	}
+	return r, nil
 }
 
 // HashConfig fingerprints a configuration as the hex SHA-256 of its

@@ -64,21 +64,6 @@ func ResumeFromIterations(its []*Iteration) *ResumeState {
 	return rs
 }
 
-// Remaining reports how many of total iterations are left to crawl.
-func (rs *ResumeState) Remaining(total int) int {
-	if rs == nil {
-		return total
-	}
-	done := 0
-	for _, n := range rs.Done {
-		done += n
-	}
-	if done > total {
-		return 0
-	}
-	return total - done
-}
-
 // validate checks the cursor against a laid-out plan and fills the
 // plan's start offsets and visited sets. A cursor that names an engine
 // the plan does not crawl, or that claims more iterations than the plan

@@ -2,35 +2,11 @@ package sweep
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io/fs"
-	"sync"
-	"time"
 
 	"searchads/internal/checkpoint"
 	"searchads/internal/crawler"
-	"searchads/internal/telemetry"
 )
-
-// defaultCheckpointEvery is the per-cell checkpoint write interval in
-// crawled iterations when Options.CheckpointEvery is zero.
-const defaultCheckpointEvery = 25
-
-// sweepCheckpointer maintains the on-disk progress snapshot of a
-// checkpointed sweep: one CellState per matrix cell, updated as cells
-// crawl and complete, written atomically so a kill at any instant
-// leaves a loadable checkpoint.
-type sweepCheckpointer struct {
-	path  string
-	hash  string
-	every int
-	tele  *telemetry.Registry // nil = off
-
-	mu        sync.Mutex
-	cells     []checkpoint.CellState
-	sinceSave int
-}
 
 // matrixHash fingerprints everything that influences a sweep's output
 // bytes: the expanded cells (fully value-typed) and whether custom
@@ -45,9 +21,9 @@ func matrixHash(cells []Cell, opts Options) (string, error) {
 	}{cells, opts.Filter != nil, opts.Entities != nil})
 }
 
-// initCheckpoint builds the runner's checkpoint state and, when a
-// checkpoint file exists, restores completed cells into r.results and
-// in-flight prefixes into r.resume. A damaged file surfaces
+// initCheckpoint opens the sweep's checkpoint journal and, when one
+// exists, restores completed cells into r.results and in-flight
+// prefixes into r.resume. A damaged file surfaces
 // ErrCheckpointCorrupt, one from a different matrix
 // ErrCheckpointMismatch — the sweep never resumes into wrong numbers.
 func (r *runner) initCheckpoint() error {
@@ -55,124 +31,46 @@ func (r *runner) initCheckpoint() error {
 	if err != nil {
 		return err
 	}
-	every := r.opts.CheckpointEvery
-	if every <= 0 {
-		every = defaultCheckpointEvery
-	}
-	k := &sweepCheckpointer{path: r.opts.Checkpoint, hash: hash, every: every, tele: r.opts.Telemetry}
-	k.cells = make([]checkpoint.CellState, len(r.cells))
-	for i, c := range r.cells {
-		k.cells[i] = checkpoint.CellState{Scenario: c.Scenario, Seed: c.Seed}
+	j, st, err := checkpoint.Open(r.opts.Checkpoint, checkpoint.KindSweep, hash,
+		checkpoint.Options{Every: r.opts.CheckpointEvery, Telemetry: r.opts.Telemetry})
+	if err != nil {
+		return err
 	}
 	r.restored = make([]bool, len(r.cells))
 	r.resume = make([][]*crawler.Iteration, len(r.cells))
-
-	snap, err := checkpoint.Load(r.opts.Checkpoint)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			r.ckpt = k
-			return nil
+	for _, rec := range st.Records {
+		i := rec.Cell
+		if i < 0 || i >= len(r.cells) {
+			j.Close()
+			return fmt.Errorf("%w: record names cell %d, matrix expands to %d",
+				checkpoint.ErrCheckpointCorrupt, i, len(r.cells))
 		}
-		return err
-	}
-	if err := snap.Verify("sweep", hash); err != nil {
-		return err
-	}
-	if len(snap.Sweep.Cells) != len(r.cells) {
-		return fmt.Errorf("%w: checkpoint holds %d cells, matrix expands to %d",
-			checkpoint.ErrCheckpointMismatch, len(snap.Sweep.Cells), len(r.cells))
-	}
-	for i := range snap.Sweep.Cells {
-		sc := snap.Sweep.Cells[i]
-		if sc.Scenario != r.cells[i].Scenario || sc.Seed != r.cells[i].Seed {
-			return fmt.Errorf("%w: cell %d is %s seed=%d in the checkpoint, %s seed=%d in the matrix",
-				checkpoint.ErrCheckpointMismatch, i, sc.Scenario, sc.Seed, r.cells[i].Scenario, r.cells[i].Seed)
+		if rec.Iteration != nil {
+			r.resume[i] = append(r.resume[i], rec.Iteration)
+			continue
 		}
-		switch {
-		case sc.Done:
-			var cr CellResult
-			if err := json.Unmarshal(sc.Result, &cr); err != nil {
-				return fmt.Errorf("%w: cell %s seed=%d result: %v",
-					checkpoint.ErrCheckpointCorrupt, sc.Scenario, sc.Seed, err)
-			}
-			r.results[i] = cr
-			r.restored[i] = true
-			k.cells[i] = sc
-		case len(sc.Iterations) > 0:
-			r.resume[i] = sc.Iterations
-			k.cells[i] = sc
+		var cr CellResult
+		if err := json.Unmarshal(rec.Result, &cr); err != nil {
+			j.Close()
+			return fmt.Errorf("%w: cell %s seed=%d result: %v",
+				checkpoint.ErrCheckpointCorrupt, r.cells[i].Scenario, r.cells[i].Seed, err)
 		}
+		r.results[i] = cr
+		r.restored[i] = true
+		r.resume[i] = nil
 	}
-	r.ckpt = k
+	r.ckpt = j
 	return nil
 }
 
-// appendIteration records one crawled iteration into the cell's
-// in-flight prefix and writes the checkpoint once the interval fills.
-// This retention is the checkpointed sweep's documented memory
-// trade-off: in-flight prefixes live until their cell completes, so
-// peak retention grows to O(parallelism · cell size) instead of
-// O(parallelism).
-func (k *sweepCheckpointer) appendIteration(i int, it *crawler.Iteration) error {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	k.cells[i].Iterations = append(k.cells[i].Iterations, it)
-	if k.sinceSave++; k.sinceSave >= k.every {
-		k.sinceSave = 0
-		return k.save()
-	}
-	return nil
-}
-
-// cellDone marks a successfully completed cell: its scalar result
-// replaces the iteration prefix and the checkpoint is written so a kill
-// after this point never re-runs the cell. Failed or canceled cells are
-// NOT marked done — their prefix stays, and resume continues them.
-func (k *sweepCheckpointer) cellDone(i int, cr CellResult) error {
+// cellDone journals a successfully completed cell's scalar result and
+// commits, so a kill after this point never re-runs the cell. Failed or
+// canceled cells are NOT marked done — their iterations stay in the
+// journal, and resume continues them.
+func (r *runner) cellDone(i int, cr CellResult) error {
 	payload, err := json.Marshal(cr)
 	if err != nil {
 		return fmt.Errorf("sweep: marshal cell result: %w", err)
 	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	k.cells[i].Done = true
-	k.cells[i].Result = payload
-	k.cells[i].Iterations = nil
-	return k.save()
-}
-
-// save writes the snapshot; callers hold k.mu.
-func (k *sweepCheckpointer) save() error {
-	snap := &checkpoint.Snapshot{
-		Kind:       "sweep",
-		ConfigHash: k.hash,
-		Sweep:      &checkpoint.SweepState{Cells: k.cells},
-	}
-	if k.tele == nil {
-		return checkpoint.Save(k.path, snap)
-	}
-	start := time.Now() //lint:allow detclock wall-clock checkpoint-write timing feeds telemetry percentiles, never outputs
-	n, err := checkpoint.SaveN(k.path, snap)
-	wall := time.Since(start) //lint:allow detclock wall-clock checkpoint-write timing feeds telemetry percentiles, never outputs
-	k.tele.ObserveWall(telemetry.StageCheckpointWrite, wall)
-	k.tele.Inc(telemetry.CounterCheckpointWrites)
-	k.tele.Add(telemetry.CounterCheckpointBytes, uint64(n))
-	ev := telemetry.Event{Type: "checkpoint", Bytes: n, WallMicros: wall.Microseconds()}
-	if err != nil {
-		ev.Err = err.Error()
-	}
-	k.tele.Emit(ev)
-	return err
-}
-
-// finalize is called once workers have drained: a fully successful
-// sweep deletes its checkpoint, an interrupted or failed one writes a
-// final snapshot so every crawled iteration survives the exit.
-func (k *sweepCheckpointer) finalize(clean bool) error {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if clean {
-		return checkpoint.Remove(k.path)
-	}
-	return k.save()
+	return r.ckpt.Done(i, payload)
 }

@@ -3,9 +3,11 @@ package sweep_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -170,8 +172,11 @@ func TestSweepCheckpointMismatch(t *testing.T) {
 		t.Fatalf("different matrix: got %v, want ErrCheckpointMismatch", err)
 	}
 
-	study := checkpoint.NewStudySnapshot("somehash", nil)
-	if err := checkpoint.Save(path, study); err != nil {
+	study, err := checkpoint.Create(path, checkpoint.KindStudy, "somehash", checkpoint.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := study.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sweep.Run(context.Background(), m, sweep.Options{Checkpoint: path}); !errors.Is(err, checkpoint.ErrCheckpointMismatch) {
@@ -183,5 +188,129 @@ func TestSweepCheckpointMismatch(t *testing.T) {
 	}
 	if _, err := sweep.Run(context.Background(), m, sweep.Options{Checkpoint: path}); !errors.Is(err, checkpoint.ErrCheckpointCorrupt) {
 		t.Fatalf("damaged checkpoint: got %v, want ErrCheckpointCorrupt", err)
+	}
+}
+
+// killSweep runs the checkpointed sweep until n live iterations have
+// been crawled, then cancels it, leaving a committed journal at path.
+func killSweep(t *testing.T, m sweep.Matrix, path string, n int) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var mu sync.Mutex
+	seen := 0
+	_, err := sweep.Run(ctx, m, sweep.Options{
+		Parallel:        2,
+		Checkpoint:      path,
+		CheckpointEvery: 2,
+		OnIteration: func(sweep.Cell, *crawler.Iteration) {
+			mu.Lock()
+			if seen++; seen == n {
+				cancel()
+			}
+			mu.Unlock()
+		},
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("kill run: %v", err)
+	}
+}
+
+// Journal layout constants (see the internal/checkpoint package doc).
+const (
+	journalHeader = 96
+	frameSize     = 8
+)
+
+// committedLen reads the journal header's committed record length.
+func committedLen(data []byte) int {
+	return int(binary.LittleEndian.Uint64(data[8:16]))
+}
+
+// TestSweepTornTailResumes pins recovery from a kill mid-append: bytes
+// past the journal's committed length — garbage or a partial record —
+// are ignored, and the resumed sweep is byte-identical to an
+// uninterrupted one. A file cut below the committed length is corrupt.
+func TestSweepTornTailResumes(t *testing.T) {
+	m := ckptMatrix()
+	want, err := sweep.Run(context.Background(), m, sweep.Options{Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for name, tail := range map[string][]byte{
+		"garbage":        []byte("\x00\xff torn garbage after the commit"),
+		"partial record": {200, 0, 0, 0, 1, 2, 3, 4, 'i', 0, 0},
+	} {
+		path := filepath.Join(dir, name+".ckpt")
+		killSweep(t, m, path, 7)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(data, tail...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := sweep.Run(context.Background(), m, sweep.Options{Parallel: 1, Checkpoint: path})
+		if err != nil {
+			t.Fatalf("%s: resume: %v", name, err)
+		}
+		if !bytes.Equal(deterministicBytes(t, got), deterministicBytes(t, want)) {
+			t.Fatalf("%s: resumed sweep diverges from the uninterrupted sweep", name)
+		}
+	}
+
+	path := filepath.Join(dir, "cut.ckpt")
+	killSweep(t, m, path, 7)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if committedLen(data) == 0 {
+		t.Fatal("kill run committed no records")
+	}
+	cut := data[:journalHeader+committedLen(data)-1]
+	if err := os.WriteFile(path, cut, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sweep.Run(context.Background(), m, sweep.Options{Checkpoint: path}); !errors.Is(err, checkpoint.ErrCheckpointCorrupt) {
+		t.Fatalf("journal cut below its committed length: got %v, want ErrCheckpointCorrupt", err)
+	}
+}
+
+// TestSweepNullPrefixRecordIsCorrupt is the regression test for a
+// CRC-valid sweep journal whose in-flight prefix holds a null
+// iteration: resume must refuse it with the typed corrupt error
+// instead of handing the null to a worker's crawl, which panicked.
+func TestSweepNullPrefixRecordIsCorrupt(t *testing.T) {
+	m := ckptMatrix()
+	path := filepath.Join(t.TempDir(), "sweep.ckpt")
+	killSweep(t, m, path, 5)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rewrite the first committed record's JSON body as null, re-frame
+	// it with a valid CRC, and re-seal the header over the new length.
+	rec := data[journalHeader:]
+	n := int(binary.LittleEndian.Uint32(rec[0:4]))
+	payload := append(bytes.Clone(rec[frameSize:frameSize+5]), "null"...)
+	if payload[0] != 'i' {
+		t.Fatalf("first record has type %q, want an iteration", payload[0])
+	}
+	framed := make([]byte, frameSize, frameSize+len(payload))
+	binary.LittleEndian.PutUint32(framed[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(framed[4:8], crc32.ChecksumIEEE(payload))
+	framed = append(framed, payload...)
+	rest := data[journalHeader+frameSize+n : journalHeader+committedLen(data)]
+	out := append(append(bytes.Clone(data[:journalHeader]), framed...), rest...)
+	binary.LittleEndian.PutUint64(out[8:16], uint64(len(out)-journalHeader))
+	binary.LittleEndian.PutUint32(out[92:96], crc32.ChecksumIEEE(out[:92]))
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = sweep.Run(context.Background(), m, sweep.Options{Parallel: 2, Checkpoint: path})
+	if !errors.Is(err, checkpoint.ErrCheckpointCorrupt) {
+		t.Fatalf("null prefix record: got %v, want ErrCheckpointCorrupt", err)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"searchads/internal/analysis"
+	"searchads/internal/checkpoint"
 	"searchads/internal/crawler"
 	"searchads/internal/entities"
 	"searchads/internal/filterlist"
@@ -56,18 +57,20 @@ type Options struct {
 	// checkpoint do not fire it — only live crawling does, which is what
 	// makes it the kill-point hook of the crash-recovery harness.
 	OnIteration func(c Cell, it *crawler.Iteration)
-	// Checkpoint, when set, names the sweep's crash-safe progress file:
-	// completed cells park their scalar results there, in-flight cells
-	// their crawled prefix, written atomically every CheckpointEvery
-	// iterations and on cancellation. A killed sweep re-Run with the
-	// same matrix skips completed cells and resumes in-flight ones
-	// mid-crawl; its Cells, Scenarios, and Metrics are byte-identical to
-	// an uninterrupted sweep's (Parallelism and PeakRetainedIterations
-	// are runtime observations and may differ). The memory bound loosens
-	// while checkpointing: in-flight cells retain their prefix, so peak
-	// retention is O(parallelism · cell size) rather than O(parallelism).
+	// Checkpoint, when set, names the sweep's crash-safe progress file,
+	// an append-only journal: in-flight cells journal each crawled
+	// iteration, committed every CheckpointEvery iterations and on
+	// cancellation, and completed cells their scalar result. A killed
+	// sweep re-Run with the same matrix skips completed cells and
+	// resumes in-flight ones mid-crawl; its Cells, Scenarios, and
+	// Metrics are byte-identical to an uninterrupted sweep's
+	// (Parallelism and PeakRetainedIterations are runtime observations
+	// and may differ). Checkpointing keeps the memory bound: the journal
+	// holds in-flight prefixes on disk, so the sweep retains at most
+	// CheckpointEvery uncommitted iterations beyond its O(parallelism)
+	// stream, not O(parallelism · cell size).
 	Checkpoint string
-	// CheckpointEvery is the checkpoint write interval in crawled
+	// CheckpointEvery is the checkpoint commit interval in crawled
 	// iterations across the sweep (default 25). It bounds redone work
 	// after a kill, never output bytes.
 	CheckpointEvery int
@@ -236,7 +239,16 @@ func Run(ctx context.Context, m Matrix, opts Options) (*Result, error) {
 		errs = append(errs, err)
 	}
 	if r.ckpt != nil {
-		if err := r.ckpt.finalize(res.CellErrors == 0); err != nil {
+		// A fully successful sweep deletes its journal; an interrupted
+		// or failed one commits it so every crawled iteration survives.
+		// A cancellation that lands after the last cell finished still
+		// returns an error, so it keeps the journal too: the resume it
+		// prompts restores every cell instead of re-running them all.
+		finish := r.ckpt.Close
+		if len(errs) == 0 {
+			finish = r.ckpt.Discard
+		}
+		if err := finish(); err != nil {
 			errs = append(errs, err)
 		}
 	}
@@ -253,7 +265,7 @@ type runner struct {
 	cellErrs []error
 
 	// Checkpoint state (nil/empty when Options.Checkpoint is unset).
-	ckpt     *sweepCheckpointer
+	ckpt     *checkpoint.Journal
 	restored []bool                 // cells completed by an earlier run
 	resume   [][]*crawler.Iteration // in-flight prefixes restored per cell
 
@@ -310,7 +322,7 @@ func (r *runner) runCell(ctx context.Context, i int) {
 	} else if r.ckpt != nil {
 		// Park the scalar result before the cell is reported done: a
 		// kill after this write never re-runs the cell.
-		if ckptErr := r.ckpt.cellDone(i, cr); ckptErr != nil {
+		if ckptErr := r.cellDone(i, cr); ckptErr != nil {
 			err = ckptErr
 			cr.Err = err.Error()
 			r.cellErrs[i] = err
@@ -394,7 +406,7 @@ func (r *runner) crawlAndAnalyze(ctx context.Context, i int, c Cell, cr *CellRes
 	// stream: prefix first, then the freshly crawled tail.
 	var prefix []*crawler.Iteration
 	if r.resume != nil {
-		prefix = r.resume[i]
+		prefix, r.resume[i] = r.resume[i], nil
 	}
 	if len(prefix) > 0 {
 		ccfg.Resume = crawler.ResumeFromIterations(prefix)
@@ -418,7 +430,7 @@ func (r *runner) crawlAndAnalyze(ctx context.Context, i int, c Cell, cr *CellRes
 			r.mu.Unlock()
 		}
 		if r.ckpt != nil {
-			return r.ckpt.appendIteration(i, it)
+			return r.ckpt.Append(i, it)
 		}
 		return nil
 	}

@@ -69,8 +69,9 @@ const (
 	// StageAnalysisFold is one iteration's incremental §4 analysis fold
 	// (Accumulator.Add), as timed by the facade and sweep folds.
 	StageAnalysisFold
-	// StageCheckpointWrite is one crash-safe checkpoint write: marshal,
-	// CRC, atomic temp-file write, fsync, rename, directory fsync.
+	// StageCheckpointWrite is one checkpoint journal commit: marshal and
+	// frame the records since the last commit, append, fsync, rewrite
+	// the header, fsync.
 	StageCheckpointWrite
 	// StageSweepCell is one sweep cell end to end: world build, crawl,
 	// fold, aggregation hand-off.
@@ -126,9 +127,10 @@ const (
 	CounterIterationErrors
 	// CounterFaults counts injected faults (all classes).
 	CounterFaults
-	// CounterCheckpointWrites counts checkpoint snapshot writes.
+	// CounterCheckpointWrites counts checkpoint journal commits.
 	CounterCheckpointWrites
-	// CounterCheckpointBytes accumulates checkpoint bytes written.
+	// CounterCheckpointBytes accumulates checkpoint bytes written
+	// (each commit's framed records plus its header rewrite).
 	CounterCheckpointBytes
 	// CounterSweepCells counts completed sweep cells.
 	CounterSweepCells

@@ -252,14 +252,15 @@ type Config struct {
 	// and not when a cached dataset is replayed.
 	Sink func(*Iteration)
 	// Checkpoint, when set, names the crash-safe progress file: Crawl
-	// (and Resume) periodically write the crawled prefix there, write a
-	// final checkpoint when the context is canceled, and remove the file
-	// once the dataset completes. A killed run resumed from its
-	// checkpoint (Study.Resume) produces datasets and reports
-	// byte-identical to a run that was never interrupted. Empty disables
-	// checkpointing; outputs are byte-identical either way.
+	// (and Resume) journal each crawled iteration there once, commit
+	// every CheckpointEvery iterations and when the context is
+	// canceled, and remove the file once the dataset completes. A
+	// killed run resumed from its checkpoint (Study.Resume) produces
+	// datasets and reports byte-identical to a run that was never
+	// interrupted. Empty disables checkpointing; outputs are
+	// byte-identical either way.
 	Checkpoint string
-	// CheckpointEvery is the checkpoint write interval in iterations
+	// CheckpointEvery is the checkpoint commit interval in iterations
 	// (default DefaultCheckpointEvery; the interval bounds redone work
 	// after a kill, never correctness).
 	CheckpointEvery int
@@ -418,7 +419,7 @@ func (s *Study) Crawl(ctx context.Context) (*Dataset, error) {
 		return s.dataset, nil
 	}
 	if s.cfg.Checkpoint != "" {
-		return s.crawlCheckpointed(ctx, nil)
+		return s.crawlCheckpointed(ctx, false)
 	}
 	c := s.newCrawler()
 	ds := c.NewDataset()
