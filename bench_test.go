@@ -652,9 +652,8 @@ func BenchmarkStudyCrawlFaults(b *testing.B) {
 // it at <3% ns/op over BenchmarkStudyCrawl, pinning that the resume
 // plumbing costs nothing when off. on journals every iteration to a
 // temp file, committing at the default interval (append + fsync, header
-// rewrite + fsync, final removal) and
-// is recorded informationally in BENCH_checkpoint.json as the price of
-// crash safety.
+// rewrite + fsync, final removal), and is recorded informationally in
+// BENCH_checkpoint.json as the price of crash safety.
 func BenchmarkStudyCrawlCheckpoint(b *testing.B) {
 	for _, mode := range []string{"off", "on"} {
 		b.Run(mode, func(b *testing.B) {

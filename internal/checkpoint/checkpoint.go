@@ -30,12 +30,12 @@
 //
 // # Commit protocol
 //
-// A Journal frames each record as it is appended and buffers the bytes
-// until the next commit. A commit appends the buffered records right
-// after the committed length, fsyncs, rewrites the header's committed
-// length and count, and fsyncs again. Each commit writes only its own
-// records plus the 96-byte header, so a run's total checkpoint I/O is
-// linear in its length, and every iteration is encoded exactly once.
+// A Journal holds each appended record until the next commit, which
+// encodes and frames the pending records, appends them right after the
+// committed length, fsyncs, rewrites the header's committed length and
+// count, and fsyncs again. Each commit writes only its own records plus
+// the 96-byte header, so a run's total checkpoint I/O is linear in its
+// length, and every iteration is encoded exactly once.
 //
 // Load trusts only the committed region. A kill mid-append leaves
 // bytes past the committed length: Load ignores them, and a resumed
@@ -60,10 +60,14 @@
 // analysis.Accumulator, which is guaranteed byte-identical where a
 // hand-serialized mirror of interned-id state could silently drift. A
 // sweep journal interleaves its in-flight cells' iterations; a
-// completed cell's done record supersedes its iterations on resume.
+// completed cell's done record supersedes its iterations, which Load
+// verifies but never decodes, so a resume holds only the in-flight
+// prefixes in memory. The file itself grows with the whole run until
+// the run completes and deletes it.
 package checkpoint
 
 import (
+	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
@@ -72,6 +76,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"io/fs"
 	"math"
 	"os"
@@ -166,13 +171,18 @@ type State struct {
 	// the caller's canonical config form). Resume refuses a journal
 	// whose hash differs from the resuming run's.
 	ConfigHash string
-	// Records holds the committed records in write order.
+	// Records holds the committed records a resume needs, in write
+	// order: every cell-done record, and the iterations of cells that
+	// have none. A completed cell's iterations are left out.
 	Records []Record
 
 	// length and count are the header's committed length and record
 	// count: where a resumed writer appends next.
 	length int64
 	count  uint64
+	// superseded counts the committed iteration records left out of
+	// Records, undecoded, because their cell's done record follows.
+	superseded int
 }
 
 // Verify checks the journal against the resuming run's identity.
@@ -208,14 +218,9 @@ type Journal struct {
 	hdr     [headerSize]byte
 	length  int64
 	count   uint64
-	buf     bytes.Buffer  // framed records appended since the last commit
+	pending []Record      // appended since the last commit
+	buf     bytes.Buffer  // pending records framed by the current commit
 	enc     *json.Encoder // encodes iterations into buf
-	pending int           // records in buf
-	since   int           // iterations appended since the last commit
-	// encodeWall accumulates the time Append spent framing buf's
-	// records, so the commit that writes them reports the whole cost
-	// (telemetry only).
-	encodeWall time.Duration
 }
 
 // Create starts a fresh, empty journal at path, atomically replacing
@@ -301,24 +306,13 @@ func (j *Journal) sealHeader(length int64, count uint64) {
 }
 
 // Append journals one crawled iteration of cell, committing once Every
-// iterations have accumulated since the last commit. The iteration is
-// encoded at once, while its data is still hot in cache; the journal
-// keeps its bytes, not the iteration.
+// records have accumulated since the last commit. The journal holds the
+// iteration until that commit encodes it.
 func (j *Journal) Append(cell int, it *crawler.Iteration) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	var start time.Time
-	if j.tele != nil {
-		start = time.Now()
-	}
-	err := j.add(cell, it, nil)
-	if j.tele != nil {
-		j.encodeWall += time.Since(start)
-	}
-	if err != nil {
-		return err
-	}
-	if j.since++; j.since >= j.every {
+	j.pending = append(j.pending, Record{Cell: cell, Iteration: it})
+	if len(j.pending) >= j.every {
 		return j.commit()
 	}
 	return nil
@@ -329,40 +323,34 @@ func (j *Journal) Append(cell int, it *crawler.Iteration) error {
 func (j *Journal) Done(cell int, result json.RawMessage) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err := j.add(cell, nil, result); err != nil {
-		return err
-	}
+	j.pending = append(j.pending, Record{Cell: cell, Result: result})
 	return j.commit()
 }
 
-// add frames one record onto buf: length and CRC, then the type byte,
-// cell index and JSON body — an iteration record when it is set, a
-// cell-done record holding result otherwise.
-func (j *Journal) add(cell int, it *crawler.Iteration, result []byte) error {
+// frame appends one record to buf: length and CRC, then the type byte,
+// cell index and JSON body.
+func (j *Journal) frame(r Record) error {
 	start := j.buf.Len()
 	var head [frameSize + recordHead]byte
 	j.buf.Write(head[:])
 	typ := recCellDone
-	if it != nil {
+	if r.Iteration != nil {
 		typ = recIteration
-		if err := j.enc.Encode(it); err != nil {
-			j.buf.Truncate(start)
+		if err := j.enc.Encode(r.Iteration); err != nil {
 			return fmt.Errorf("checkpoint: marshal iteration: %w", err)
 		}
 	} else {
-		j.buf.Write(result)
+		j.buf.Write(r.Result)
 	}
 	rec := j.buf.Bytes()[start:]
 	payload := rec[frameSize:]
 	if len(payload) > math.MaxUint32 {
-		j.buf.Truncate(start)
 		return fmt.Errorf("checkpoint: %d-byte record exceeds the frame limit", len(payload))
 	}
 	payload[0] = typ
-	binary.LittleEndian.PutUint32(payload[1:5], uint32(cell))
+	binary.LittleEndian.PutUint32(payload[1:5], uint32(r.Cell))
 	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(rec[4:8], crc32.ChecksumIEEE(payload))
-	j.pending++
 	return nil
 }
 
@@ -389,8 +377,7 @@ func (j *Journal) Discard() error {
 // commit writes the pending records and reports the write to
 // telemetry; callers hold j.mu. With nothing pending it writes nothing.
 func (j *Journal) commit() error {
-	j.since = 0
-	if j.pending == 0 {
+	if len(j.pending) == 0 {
 		return nil
 	}
 	if j.tele == nil {
@@ -399,8 +386,7 @@ func (j *Journal) commit() error {
 	}
 	start := time.Now()
 	n, err := j.write()
-	wall := time.Since(start) + j.encodeWall
-	j.encodeWall = 0
+	wall := time.Since(start)
 	j.tele.ObserveWall(telemetry.StageCheckpointWrite, wall)
 	j.tele.Inc(telemetry.CounterCheckpointWrites)
 	j.tele.Add(telemetry.CounterCheckpointBytes, uint64(n))
@@ -412,12 +398,18 @@ func (j *Journal) commit() error {
 	return err
 }
 
-// write is one commit: append the framed records past the committed
-// length, fsync, rewrite the header, fsync. It returns the bytes
-// written (records + header), 0 on error. A failed write leaves the
-// committed state and the framed records as they were, so the next
-// commit rewrites the same region.
+// write is one commit: frame the pending records, append them past the
+// committed length, fsync, rewrite the header, fsync. It returns the
+// bytes written (records + header), 0 on error. A failed write leaves
+// the committed state and the pending records as they were, so the
+// next commit rewrites the same region.
 func (j *Journal) write() (int, error) {
+	j.buf.Reset()
+	for _, r := range j.pending {
+		if err := j.frame(r); err != nil {
+			return 0, err
+		}
+	}
 	records := j.buf.Bytes()
 	if _, err := j.f.WriteAt(records, headerSize+j.length); err != nil {
 		return 0, fmt.Errorf("checkpoint: append records: %w", err)
@@ -425,7 +417,7 @@ func (j *Journal) write() (int, error) {
 	if err := j.f.Sync(); err != nil {
 		return 0, fmt.Errorf("checkpoint: fsync records: %w", err)
 	}
-	length, count := j.length+int64(len(records)), j.count+uint64(j.pending)
+	length, count := j.length+int64(len(records)), j.count+uint64(len(j.pending))
 	j.sealHeader(length, count)
 	if _, err := j.f.WriteAt(j.hdr[:], 0); err != nil {
 		return 0, fmt.Errorf("checkpoint: rewrite header: %w", err)
@@ -434,8 +426,8 @@ func (j *Journal) write() (int, error) {
 		return 0, fmt.Errorf("checkpoint: fsync header: %w", err)
 	}
 	j.length, j.count = length, count
-	j.buf.Reset()
-	j.pending = 0
+	clear(j.pending)
+	j.pending = j.pending[:0]
 	return len(records) + headerSize, nil
 }
 
@@ -444,14 +436,19 @@ func (j *Journal) write() (int, error) {
 // ErrCheckpointCorrupt for any damage in the committed region, and
 // ErrCheckpointVersion for files in another format revision.
 func Load(path string) (*State, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			return nil, err
 		}
 		return nil, fmt.Errorf("checkpoint: read %s: %w", path, err)
 	}
-	s, err := Decode(data)
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: read %s: %w", path, err)
+	}
+	s, err := decode(f, fi.Size())
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
@@ -462,6 +459,30 @@ func Load(path string) (*State, error) {
 // split out so fuzzing can drive it directly). Bytes past the committed
 // length are ignored.
 func Decode(data []byte) (*State, error) {
+	return decode(bytes.NewReader(data), int64(len(data)))
+}
+
+// frameRef locates one verified record of the committed region.
+type frameRef struct {
+	cell   int
+	off    int64           // file offset of an iteration record's JSON body
+	n      int             // body length
+	result json.RawMessage // a cell-done record's result; nil for iterations
+}
+
+// decode verifies a journal in two passes, so a resume holds only what
+// it needs in memory, never the whole file. The first pass walks every
+// committed frame: its CRC, record type and cell, and a JSON validity
+// scan of its body. The second decodes the iterations of cells that
+// have no done record; a completed cell's iterations are superseded and
+// never decoded.
+func decode(r io.ReaderAt, size int64) (*State, error) {
+	var hdr [headerSize]byte
+	n, err := r.ReadAt(hdr[:], 0)
+	if err != nil && !errors.Is(err, io.EOF) {
+		return nil, fmt.Errorf("checkpoint: read header: %w", err)
+	}
+	data := hdr[:n]
 	if len(data) < 8 {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than the magic and version", ErrCheckpointCorrupt, len(data))
 	}
@@ -490,72 +511,114 @@ func Decode(data []byte) (*State, error) {
 		count:      binary.LittleEndian.Uint64(data[16:24]),
 	}
 	length := binary.LittleEndian.Uint64(data[8:16])
-	if length > uint64(len(data)-headerSize) {
-		return nil, fmt.Errorf("%w: header commits %d record bytes, file holds %d", ErrCheckpointCorrupt, length, len(data)-headerSize)
+	if length > uint64(size-headerSize) {
+		return nil, fmt.Errorf("%w: header commits %d record bytes, file holds %d", ErrCheckpointCorrupt, length, size-headerSize)
 	}
 	s.length = int64(length)
-	done := make(map[int]bool)
-	for rest := data[headerSize : headerSize+length]; len(rest) > 0; {
-		if len(rest) < frameSize {
-			return nil, fmt.Errorf("%w: record %d: torn frame inside the committed region", ErrCheckpointCorrupt, len(s.Records))
+
+	// Pass 1: verify every committed frame.
+	var (
+		refs    []frameRef
+		done    = make(map[int]bool)
+		payload []byte
+		frame   [frameSize]byte
+	)
+	in := bufio.NewReader(io.NewSectionReader(r, headerSize, s.length))
+	for off := int64(headerSize); off < headerSize+s.length; {
+		rest := headerSize + s.length - off
+		if rest < frameSize {
+			return nil, fmt.Errorf("%w: record %d: torn frame inside the committed region", ErrCheckpointCorrupt, len(refs))
 		}
-		n := binary.LittleEndian.Uint32(rest[0:4])
-		if uint64(n) > uint64(len(rest)-frameSize) {
-			return nil, fmt.Errorf("%w: record %d claims %d bytes past the committed region", ErrCheckpointCorrupt, len(s.Records), n)
+		if _, err := io.ReadFull(in, frame[:]); err != nil {
+			return nil, fmt.Errorf("checkpoint: read record %d: %w", len(refs), err)
 		}
-		payload := rest[frameSize : frameSize+n]
-		if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(rest[4:8]); got != want {
-			return nil, fmt.Errorf("%w: record %d CRC %08x, frame says %08x", ErrCheckpointCorrupt, len(s.Records), got, want)
+		n := int64(binary.LittleEndian.Uint32(frame[0:4]))
+		if n > rest-frameSize {
+			return nil, fmt.Errorf("%w: record %d claims %d bytes past the committed region", ErrCheckpointCorrupt, len(refs), n)
 		}
-		rec, err := s.decodeRecord(payload, done)
+		if int64(cap(payload)) < n {
+			payload = make([]byte, n)
+		}
+		payload = payload[:n]
+		if _, err := io.ReadFull(in, payload); err != nil {
+			return nil, fmt.Errorf("checkpoint: read record %d: %w", len(refs), err)
+		}
+		if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(frame[4:8]); got != want {
+			return nil, fmt.Errorf("%w: record %d CRC %08x, frame says %08x", ErrCheckpointCorrupt, len(refs), got, want)
+		}
+		ref, err := s.scanRecord(payload, done)
 		if err != nil {
-			return nil, fmt.Errorf("%w: record %d: %v", ErrCheckpointCorrupt, len(s.Records), err)
+			return nil, fmt.Errorf("%w: record %d: %v", ErrCheckpointCorrupt, len(refs), err)
+		}
+		ref.off = off + frameSize + recordHead
+		refs = append(refs, ref)
+		off += frameSize + n
+	}
+	if uint64(len(refs)) != s.count {
+		return nil, fmt.Errorf("%w: header commits %d records, committed region holds %d", ErrCheckpointCorrupt, s.count, len(refs))
+	}
+
+	// Pass 2: decode what a resume needs.
+	for i, ref := range refs {
+		rec := Record{Cell: ref.cell, Result: ref.result}
+		if ref.result == nil {
+			if done[ref.cell] {
+				s.superseded++
+				continue
+			}
+			body := payload[:ref.n]
+			if _, err := r.ReadAt(body, ref.off); err != nil {
+				return nil, fmt.Errorf("checkpoint: read record %d: %w", i, err)
+			}
+			if err := json.Unmarshal(body, &rec.Iteration); err != nil {
+				return nil, fmt.Errorf("%w: record %d: %v", ErrCheckpointCorrupt, i, err)
+			}
+			if rec.Iteration == nil || rec.Iteration.Engine == "" {
+				return nil, fmt.Errorf("%w: record %d: null or empty iteration", ErrCheckpointCorrupt, i)
+			}
 		}
 		s.Records = append(s.Records, rec)
-		rest = rest[frameSize+n:]
-	}
-	if uint64(len(s.Records)) != s.count {
-		return nil, fmt.Errorf("%w: header commits %d records, committed region holds %d", ErrCheckpointCorrupt, s.count, len(s.Records))
 	}
 	return s, nil
 }
 
-// decodeRecord parses one CRC-verified payload. done tracks the sweep
-// cells whose completion was already journaled.
-func (s *State) decodeRecord(payload []byte, done map[int]bool) (Record, error) {
+// scanRecord checks one CRC-verified payload without decoding an
+// iteration: its type, its cell, and that its body is a JSON value
+// other than null. done tracks the sweep cells whose completion was
+// already journaled.
+func (s *State) scanRecord(payload []byte, done map[int]bool) (frameRef, error) {
 	if len(payload) < recordHead {
-		return Record{}, fmt.Errorf("%d-byte payload", len(payload))
+		return frameRef{}, fmt.Errorf("%d-byte payload", len(payload))
 	}
-	r := Record{Cell: int(binary.LittleEndian.Uint32(payload[1:5]))}
+	ref := frameRef{cell: int(binary.LittleEndian.Uint32(payload[1:5]))}
 	body := payload[recordHead:]
-	if s.Kind == KindStudy && r.Cell != 0 {
-		return r, fmt.Errorf("study record names cell %d", r.Cell)
+	ref.n = len(body)
+	if s.Kind == KindStudy && ref.cell != 0 {
+		return ref, fmt.Errorf("study record names cell %d", ref.cell)
 	}
-	if done[r.Cell] {
-		return r, fmt.Errorf("cell %d has a record after its completion", r.Cell)
+	if done[ref.cell] {
+		return ref, fmt.Errorf("cell %d has a record after its completion", ref.cell)
 	}
+	trimmed := bytes.TrimSpace(body)
+	value := json.Valid(trimmed) && string(trimmed) != "null"
 	switch payload[0] {
 	case recIteration:
-		if err := json.Unmarshal(body, &r.Iteration); err != nil {
-			return r, err
-		}
-		if r.Iteration == nil || r.Iteration.Engine == "" {
-			return r, fmt.Errorf("null or empty iteration")
+		if !value {
+			return ref, fmt.Errorf("null, empty or malformed iteration")
 		}
 	case recCellDone:
 		if s.Kind != KindSweep {
-			return r, fmt.Errorf("cell-done record in a %s journal", s.Kind)
+			return ref, fmt.Errorf("cell-done record in a %s journal", s.Kind)
 		}
-		body = bytes.TrimSpace(body)
-		if !json.Valid(body) || string(body) == "null" {
-			return r, fmt.Errorf("cell %d result is not a JSON value", r.Cell)
+		if !value {
+			return ref, fmt.Errorf("cell %d result is not a JSON value", ref.cell)
 		}
-		r.Result = json.RawMessage(body)
-		done[r.Cell] = true
+		ref.result = json.RawMessage(bytes.Clone(trimmed))
+		done[ref.cell] = true
 	default:
-		return r, fmt.Errorf("unknown record type %q", payload[0])
+		return ref, fmt.Errorf("unknown record type %q", payload[0])
 	}
-	return r, nil
+	return ref, nil
 }
 
 // HashConfig fingerprints a configuration as the hex SHA-256 of its

@@ -154,15 +154,19 @@ func TestLoadCorruptForms(t *testing.T) {
 		"torn header":    append(append(bytes.Clone(good[:40]), make([]byte, 56)...), good[headerSize:]...),
 		"unknown kind":   reseal(good, func(h []byte) { h[24] = 9 }),
 		// Records a writer never produces.
-		"null iteration":      craft(t, KindStudy, payload(recIteration, 0, "null")),
-		"empty iteration":     craft(t, KindStudy, payload(recIteration, 0, "")),
-		"blank iteration":     craft(t, KindStudy, payload(recIteration, 0, "{}")),
-		"null sweep prefix":   craft(t, KindSweep, payload(recIteration, 2, "null")),
-		"null cell result":    craft(t, KindSweep, payload(recCellDone, 1, "null")),
-		"empty cell result":   craft(t, KindSweep, payload(recCellDone, 1, "")),
-		"study cell result":   craft(t, KindStudy, payload(recCellDone, 0, `{"scenario":"x"}`)),
-		"study cell index":    craft(t, KindStudy, payload(recIteration, 3, `{"engine":"bing"}`)),
-		"record after done":   craft(t, KindSweep, payload(recCellDone, 1, `{}`), payload(recIteration, 1, `{"engine":"bing"}`)),
+		"null iteration":    craft(t, KindStudy, payload(recIteration, 0, "null")),
+		"empty iteration":   craft(t, KindStudy, payload(recIteration, 0, "")),
+		"blank iteration":   craft(t, KindStudy, payload(recIteration, 0, "{}")),
+		"null sweep prefix": craft(t, KindSweep, payload(recIteration, 2, "null")),
+		"null cell result":  craft(t, KindSweep, payload(recCellDone, 1, "null")),
+		"empty cell result": craft(t, KindSweep, payload(recCellDone, 1, "")),
+		"study cell result": craft(t, KindStudy, payload(recCellDone, 0, `{"scenario":"x"}`)),
+		"study cell index":  craft(t, KindStudy, payload(recIteration, 3, `{"engine":"bing"}`)),
+		"record after done": craft(t, KindSweep, payload(recCellDone, 1, `{}`), payload(recIteration, 1, `{"engine":"bing"}`)),
+		// A completed cell's iterations are never decoded, but they are
+		// still scanned: null or malformed ones are damage too.
+		"superseded null":     craft(t, KindSweep, payload(recIteration, 1, "null"), payload(recCellDone, 1, `{}`)),
+		"superseded garbage":  craft(t, KindSweep, payload(recIteration, 1, "}{ not json"), payload(recCellDone, 1, `{}`)),
 		"unknown record type": craft(t, KindStudy, payload('x', 0, `{"engine":"bing"}`)),
 		"short payload":       craft(t, KindStudy, []byte{recIteration}),
 	}
@@ -226,6 +230,32 @@ func TestTornTailIgnored(t *testing.T) {
 		if len(st.Records) != 4 || st.Records[3].Iteration.Instance != "google-0001" {
 			t.Fatalf("%s: resumed writer did not replace the torn tail", name)
 		}
+	}
+}
+
+// TestSupersededIterationsNotDecoded pins the resume memory bound: a
+// completed cell's iterations are verified but never decoded, so Load
+// returns only the in-flight prefixes and the done results. The
+// superseded record below is valid JSON that does not decode as an
+// iteration; the same record in an in-flight cell is corrupt.
+func TestSupersededIterationsNotDecoded(t *testing.T) {
+	undecodable := payload(recIteration, 1, `{"engine":5}`)
+	inFlight := payload(recIteration, 2, `{"engine":"bing","index":0}`)
+	s, err := Decode(craft(t, KindSweep, undecodable, inFlight, payload(recCellDone, 1, `{"scenario":"x"}`)))
+	if err != nil {
+		t.Fatalf("superseded iteration was decoded: %v", err)
+	}
+	if len(s.Records) != 2 || s.superseded != 1 {
+		t.Fatalf("loaded %d records and skipped %d, want 2 and 1", len(s.Records), s.superseded)
+	}
+	if r := s.Records[0]; r.Cell != 2 || r.Iteration == nil || r.Iteration.Engine != "bing" {
+		t.Fatalf("first record %+v, want cell 2's in-flight iteration", r)
+	}
+	if r := s.Records[1]; r.Cell != 1 || string(r.Result) != `{"scenario":"x"}` {
+		t.Fatalf("second record %+v, want cell 1's result", r)
+	}
+	if _, err := Decode(craft(t, KindSweep, undecodable, inFlight)); !errors.Is(err, ErrCheckpointCorrupt) {
+		t.Fatalf("undecodable in-flight iteration: got %v, want ErrCheckpointCorrupt", err)
 	}
 }
 
@@ -458,8 +488,8 @@ func FuzzDecode(f *testing.F) {
 		if s == nil || (s.Kind != KindStudy && s.Kind != KindSweep) {
 			t.Fatal("Decode returned success with invalid state")
 		}
-		if n := binary.LittleEndian.Uint64(data[16:24]); uint64(len(s.Records)) != n {
-			t.Fatalf("decoded %d records, header commits %d", len(s.Records), n)
+		if n := binary.LittleEndian.Uint64(data[16:24]); uint64(len(s.Records)+s.superseded) != n {
+			t.Fatalf("decoded %d records and skipped %d, header commits %d", len(s.Records), s.superseded, n)
 		}
 		for i, r := range s.Records {
 			if (r.Iteration == nil) == (r.Result == nil) {

@@ -57,7 +57,6 @@ func (r *runner) initCheckpoint() error {
 		}
 		r.results[i] = cr
 		r.restored[i] = true
-		r.resume[i] = nil
 	}
 	r.ckpt = j
 	return nil

@@ -278,6 +278,41 @@ func TestSweepTornTailResumes(t *testing.T) {
 	}
 }
 
+// record is one committed journal record as the tests below edit it.
+type record struct {
+	typ  byte
+	cell uint32
+	body []byte
+}
+
+// committedRecords splits a journal's committed region into records.
+func committedRecords(data []byte) []record {
+	var recs []record
+	for rest := data[journalHeader : journalHeader+committedLen(data)]; len(rest) > 0; {
+		n := int(binary.LittleEndian.Uint32(rest[0:4]))
+		p := rest[frameSize : frameSize+n]
+		recs = append(recs, record{p[0], binary.LittleEndian.Uint32(p[1:5]), p[5:]})
+		rest = rest[frameSize+n:]
+	}
+	return recs
+}
+
+// rejournal rebuilds journal bytes around edited records: each is
+// re-framed with a valid CRC and the header is re-sealed over them.
+func rejournal(data []byte, recs []record) []byte {
+	out := bytes.Clone(data[:journalHeader])
+	for _, r := range recs {
+		payload := append([]byte{r.typ, 0, 0, 0, 0}, r.body...)
+		binary.LittleEndian.PutUint32(payload[1:5], r.cell)
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
+		out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
+		out = append(out, payload...)
+	}
+	binary.LittleEndian.PutUint64(out[8:16], uint64(len(out)-journalHeader))
+	binary.LittleEndian.PutUint32(out[92:96], crc32.ChecksumIEEE(out[:92]))
+	return out
+}
+
 // TestSweepNullPrefixRecordIsCorrupt is the regression test for a
 // CRC-valid sweep journal whose in-flight prefix holds a null
 // iteration: resume must refuse it with the typed corrupt error
@@ -290,27 +325,64 @@ func TestSweepNullPrefixRecordIsCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Rewrite the first committed record's JSON body as null, re-frame
-	// it with a valid CRC, and re-seal the header over the new length.
-	rec := data[journalHeader:]
-	n := int(binary.LittleEndian.Uint32(rec[0:4]))
-	payload := append(bytes.Clone(rec[frameSize:frameSize+5]), "null"...)
-	if payload[0] != 'i' {
-		t.Fatalf("first record has type %q, want an iteration", payload[0])
+	recs := committedRecords(data)
+	if recs[0].typ != 'i' {
+		t.Fatalf("first record has type %q, want an iteration", recs[0].typ)
 	}
-	framed := make([]byte, frameSize, frameSize+len(payload))
-	binary.LittleEndian.PutUint32(framed[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(framed[4:8], crc32.ChecksumIEEE(payload))
-	framed = append(framed, payload...)
-	rest := data[journalHeader+frameSize+n : journalHeader+committedLen(data)]
-	out := append(append(bytes.Clone(data[:journalHeader]), framed...), rest...)
-	binary.LittleEndian.PutUint64(out[8:16], uint64(len(out)-journalHeader))
-	binary.LittleEndian.PutUint32(out[92:96], crc32.ChecksumIEEE(out[:92]))
-	if err := os.WriteFile(path, out, 0o644); err != nil {
+	recs[0].body = []byte("null")
+	if err := os.WriteFile(path, rejournal(data, recs), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, err = sweep.Run(context.Background(), m, sweep.Options{Parallel: 2, Checkpoint: path})
 	if !errors.Is(err, checkpoint.ErrCheckpointCorrupt) {
 		t.Fatalf("null prefix record: got %v, want ErrCheckpointCorrupt", err)
+	}
+}
+
+// TestSweepResumeSkipsCompletedCellIterations pins the resume memory
+// bound: the journal keeps a completed cell's iterations, but resume
+// never decodes them. Every such record is rewritten below as valid
+// JSON that does not decode as an iteration; the resume must still
+// succeed and match the uninterrupted sweep byte for byte.
+func TestSweepResumeSkipsCompletedCellIterations(t *testing.T) {
+	m := ckptMatrix()
+	want, err := sweep.Run(context.Background(), m, sweep.Options{Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "sweep.ckpt")
+	// Two workers crawling 8-iteration cells: by the 20th iteration one
+	// of them has completed a cell.
+	killSweep(t, m, path, 20)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := committedRecords(data)
+	done := make(map[uint32]bool)
+	for _, r := range recs {
+		if r.typ == 'd' {
+			done[r.cell] = true
+		}
+	}
+	poisoned := 0
+	for i, r := range recs {
+		if r.typ == 'i' && done[r.cell] {
+			recs[i].body = []byte(`{"engine":5}`)
+			poisoned++
+		}
+	}
+	if poisoned == 0 {
+		t.Fatalf("kill run journaled no iteration of a completed cell (%d cells done)", len(done))
+	}
+	if err := os.WriteFile(path, rejournal(data, recs), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := sweep.Run(context.Background(), m, sweep.Options{Parallel: 2, Checkpoint: path})
+	if err != nil {
+		t.Fatalf("resume decoded a completed cell's iterations: %v", err)
+	}
+	if !bytes.Equal(deterministicBytes(t, got), deterministicBytes(t, want)) {
+		t.Fatal("resumed sweep diverges from the uninterrupted sweep")
 	}
 }

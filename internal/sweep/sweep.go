@@ -65,10 +65,14 @@ type Options struct {
 	// resumes in-flight ones mid-crawl; its Cells, Scenarios, and
 	// Metrics are byte-identical to an uninterrupted sweep's
 	// (Parallelism and PeakRetainedIterations are runtime observations
-	// and may differ). Checkpointing keeps the memory bound: the journal
-	// holds in-flight prefixes on disk, so the sweep retains at most
-	// CheckpointEvery uncommitted iterations beyond its O(parallelism)
-	// stream, not O(parallelism · cell size).
+	// and may differ). The journal holds in-flight prefixes on disk, so
+	// a running sweep retains at most CheckpointEvery uncommitted
+	// iterations beyond its O(parallelism) stream, not O(parallelism ·
+	// cell size), and a resume decodes only the in-flight cells'
+	// prefixes: a completed cell's iterations stay in the file,
+	// superseded by its result, and are never decoded. The file itself
+	// grows with every iteration the sweep crawls until the sweep
+	// completes and deletes it.
 	Checkpoint string
 	// CheckpointEvery is the checkpoint commit interval in crawled
 	// iterations across the sweep (default 25). It bounds redone work
