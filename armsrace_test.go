@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"searchads"
+	"searchads/internal/sweep/sweeptest"
 )
 
 // TestZeroAdversaryByteIdentical is the arms-race layer's regression
@@ -349,12 +350,7 @@ func TestSweepArmsRaceDimensions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res.PeakRetainedIterations = 0
-		data, err := res.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data, res
+		return sweeptest.DeterministicJSON(t, res), res
 	}
 	first, res := run()
 	second, _ := run()

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"searchads"
+	"searchads/internal/sweep/sweeptest"
 )
 
 // saveBytes crawls nothing itself — it just serializes a dataset the
@@ -295,14 +296,9 @@ func TestSweepFaultDimensions(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The retained-iteration high-water mark is a scheduling
-		// observation, not a study result — normalize it so the byte
-		// comparison checks only the deterministic content.
-		res.PeakRetainedIterations = 0
-		data, err := res.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data, res
+		// observation, not a study result: compare only the
+		// deterministic content.
+		return sweeptest.DeterministicJSON(t, res), res
 	}
 	first, res := run()
 	second, _ := run()

@@ -161,17 +161,15 @@ func TestPlatformBuildClick(t *testing.T) {
 		AutoTag: true,
 	}
 	click := g.BuildClick(c, "google-0001")
-	if click.Href.Host != "www.googleadservices.com" || click.Href.Path != "/pagead/aclk" {
-		t.Fatalf("click server = %s%s", click.Href.Host, click.Href.Path)
-	}
 	if click.ClickID == "" || !strings.HasPrefix(click.ClickID, "Cj0KCQjw") {
 		t.Fatalf("gclid = %q", click.ClickID)
 	}
 	if got, _ := urlx.Param(click.FinalLanding, "gclid"); got != click.ClickID {
 		t.Fatalf("landing gclid = %q", got)
 	}
-	// Unwind the chain: click server -> dartsearch -> doubleclick -> landing.
-	hops := unwind(t, click.Href)
+	// Unwind the chain the engine renders around the landing URL: click
+	// server -> dartsearch -> doubleclick -> landing.
+	hops := unwind(t, clickChain(t, g, click))
 	want := []string{"www.googleadservices.com", "clickserve.dartsearch.net", "ad.doubleclick.net", "shoes.example"}
 	if len(hops) != len(want) {
 		t.Fatalf("hops = %v", hops)
@@ -181,6 +179,22 @@ func TestPlatformBuildClick(t *testing.T) {
 			t.Fatalf("hops = %v, want %v", hops, want)
 		}
 	}
+}
+
+// clickChain builds the href an engine without hops of its own renders
+// for click (serp's buildHref): the platform click server, then the
+// campaign's stack. The click server's hop must be served at the
+// platform's click path, which BuildChain takes from HopPath.
+func clickChain(t *testing.T, p *Platform, click *AdClick) *url.URL {
+	t.Helper()
+	if got := HopPath(p.ClickHost); got != p.ClickPath {
+		t.Fatalf("HopPath(%s) = %s, want the click path %s", p.ClickHost, got, p.ClickPath)
+	}
+	u := BuildChain(append([]string{p.ClickHost}, click.Campaign.Stack...), click.FinalLanding)
+	if u.Host != p.ClickHost || u.Path != p.ClickPath {
+		t.Fatalf("click server = %s%s", u.Host, u.Path)
+	}
+	return u
 }
 
 func unwind(t *testing.T, u *url.URL) []string {
@@ -206,8 +220,8 @@ func TestMicrosoftClickWithCrossTag(t *testing.T) {
 		OtherUIDParam: "irclickid",
 	}
 	click := m.BuildClick(c, "bing-0001")
-	if click.Href.Host != "www.bing.com" || click.Href.Path != "/aclk" {
-		t.Fatalf("click server = %s%s", click.Href.Host, click.Href.Path)
+	if hops := unwind(t, clickChain(t, m, click)); len(hops) != 2 || hops[0] != "www.bing.com" || hops[1] != "hotel.example" {
+		t.Fatalf("hops = %v", hops)
 	}
 	q := click.FinalLanding.Query()
 	if q.Get("msclkid") == "" || q.Get("gclid") == "" || q.Get("irclickid") == "" {

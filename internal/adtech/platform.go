@@ -119,12 +119,12 @@ func (p *Platform) MintOtherUID(client string) string {
 	return p.seed.Derive("otheruid", client).DeriveN("n", n).Token(24, detrand.AlphaNum)
 }
 
-// AdClick is a fully-constructed ad click: the href placed in the SERP
-// and the metadata the engine needs to render the ad element.
+// AdClick is one ad impression's click: the decorated landing URL and
+// the metadata the engine needs to render the ad element. The engine
+// composes the href around FinalLanding: its own hops, the platform
+// click server at HopPath(ClickHost), which is ClickPath, and the
+// campaign's stack.
 type AdClick struct {
-	// Href is the URL the browser navigates to when the ad is clicked
-	// (the click server, wrapping the whole bounce chain).
-	Href *url.URL
 	// FinalLanding is the landing URL including appended tracking
 	// parameters.
 	FinalLanding *url.URL
@@ -135,9 +135,8 @@ type AdClick struct {
 	Campaign *Campaign
 }
 
-// BuildClick constructs the click URL for one rendered ad impression:
-// landing-URL decoration (click IDs, extra UID params), the campaign's
-// redirector stack, and the platform click server on the outside.
+// BuildClick decorates the landing URL for one rendered ad impression
+// with the click IDs and extra UID parameters the campaign carries.
 func (p *Platform) BuildClick(c *Campaign, client string) *AdClick {
 	landing := urlx.CopyURL(c.Landing)
 	click := &AdClick{Campaign: c}
@@ -157,10 +156,6 @@ func (p *Platform) BuildClick(c *Campaign, client string) *AdClick {
 		landing = urlx.WithParams(landing, params)
 	}
 	click.FinalLanding = landing
-	inner := BuildChain(c.Stack, landing)
-	click.Href = BuildChain([]string{p.ClickHost}, inner)
-	// The click server's own hop uses the platform's click path.
-	click.Href.Path = p.ClickPath
 	return click
 }
 

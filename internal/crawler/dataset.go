@@ -226,18 +226,37 @@ func (d *Dataset) Save(path string) error {
 	return nil
 }
 
-// Load reads a dataset written by Save.
+// Load reads a dataset written by Save. The file is decoded in one
+// pass by a decoder specific to Save's canonical form, which interns
+// the strings a crawl repeats; any file outside that form (hand-edited,
+// foreign, or damaged) is decoded by encoding/json instead. Which path
+// runs depends only on the bytes, and the semantics, including every
+// error, are encoding/json's on both. A null iteration is a parse
+// error. Files saved by older releases are migrated after decoding.
 func Load(path string) (*Dataset, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("crawler: read dataset: %w", err)
 	}
-	var d Dataset
-	if err := json.Unmarshal(data, &d); err != nil {
-		return nil, fmt.Errorf("crawler: parse dataset: %w", err)
+	return decode(data)
+}
+
+// decode is Load after the file is read.
+func decode(data []byte) (*Dataset, error) {
+	d, ok := decodeCanonical(data)
+	if !ok {
+		d = new(Dataset)
+		if err := json.Unmarshal(data, d); err != nil {
+			return nil, fmt.Errorf("crawler: parse dataset: %w", err)
+		}
+	}
+	for i, it := range d.Iterations {
+		if it == nil {
+			return nil, fmt.Errorf("crawler: parse dataset: iteration %d is null", i)
+		}
 	}
 	d.migrate()
-	return &d, nil
+	return d, nil
 }
 
 // stampVersion marks the dataset with the current schema revision when

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -18,6 +17,7 @@ import (
 	"searchads/internal/crawler"
 	"searchads/internal/storage"
 	"searchads/internal/sweep"
+	"searchads/internal/sweep/sweeptest"
 )
 
 // ckptMatrix is the small 4-cell matrix the kill/resume tests sweep:
@@ -29,23 +29,6 @@ func ckptMatrix() sweep.Matrix {
 		EngineSets:       [][]string{{"bing", "google"}},
 		QueriesPerEngine: 4,
 	}
-}
-
-// deterministicBytes serializes the parts of a sweep result the
-// byte-identity guarantee covers: cells, aggregates, and metric names.
-// Parallelism and PeakRetainedIterations are runtime observations — a
-// resumed sweep legitimately reports its own.
-func deterministicBytes(t *testing.T, res *sweep.Result) []byte {
-	t.Helper()
-	data, err := json.Marshal(struct {
-		Cells     []sweep.CellResult
-		Scenarios []sweep.ScenarioAggregate
-		Metrics   []string
-	}{res.Cells, res.Scenarios, res.Metrics})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
 }
 
 // TestSweepKillResumeByteIdentical kills a checkpointed sweep at random
@@ -60,7 +43,7 @@ func TestSweepKillResumeByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantBytes := deterministicBytes(t, want)
+	wantBytes := sweeptest.DeterministicJSON(t, want)
 
 	gen := rand.New(rand.NewSource(20231001))
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
@@ -105,7 +88,7 @@ func TestSweepKillResumeByteIdentical(t *testing.T) {
 			t.Fatalf("round %d: killed sweep left no checkpoint: %v", round, statErr)
 		}
 	}
-	if !bytes.Equal(deterministicBytes(t, res), wantBytes) {
+	if !bytes.Equal(sweeptest.DeterministicJSON(t, res), wantBytes) {
 		t.Fatalf("resumed sweep (%d kills) diverges from the uninterrupted sweep", kills)
 	}
 	for key, n := range reported {
@@ -135,7 +118,7 @@ func TestSweepCheckpointOffByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(deterministicBytes(t, plain), deterministicBytes(t, ckpt)) {
+	if !bytes.Equal(sweeptest.DeterministicJSON(t, plain), sweeptest.DeterministicJSON(t, ckpt)) {
 		t.Fatal("checkpointing changed sweep output bytes")
 	}
 }
@@ -255,7 +238,7 @@ func TestSweepTornTailResumes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: resume: %v", name, err)
 		}
-		if !bytes.Equal(deterministicBytes(t, got), deterministicBytes(t, want)) {
+		if !bytes.Equal(sweeptest.DeterministicJSON(t, got), sweeptest.DeterministicJSON(t, want)) {
 			t.Fatalf("%s: resumed sweep diverges from the uninterrupted sweep", name)
 		}
 	}
@@ -382,7 +365,7 @@ func TestSweepResumeSkipsCompletedCellIterations(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resume decoded a completed cell's iterations: %v", err)
 	}
-	if !bytes.Equal(deterministicBytes(t, got), deterministicBytes(t, want)) {
+	if !bytes.Equal(sweeptest.DeterministicJSON(t, got), sweeptest.DeterministicJSON(t, want)) {
 		t.Fatal("resumed sweep diverges from the uninterrupted sweep")
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"searchads/internal/analysis"
 	"searchads/internal/storage"
 	"searchads/internal/sweep"
+	"searchads/internal/sweep/sweeptest"
 )
 
 // studyConfig maps a sweep cell back to the standalone searchads.Config
@@ -183,13 +184,7 @@ func TestSweepAggregates(t *testing.T) {
 	}
 	// Pool-shape fields legitimately differ between the two runs; the
 	// measurement content must not.
-	res2.Parallelism = res.Parallelism
-	res2.PeakRetainedIterations = res.PeakRetainedIterations
-	j2, err := res2.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(j1, j2) {
+	if !bytes.Equal(sweeptest.DeterministicJSON(t, res), sweeptest.DeterministicJSON(t, res2)) {
 		t.Error("sweep result differs between parallel=3 and parallel=1 runs")
 	}
 	if out := res.Render(); !strings.Contains(out, "tracker_prevalence") || !strings.Contains(out, "2 scenarios") {

@@ -650,7 +650,11 @@ func AnalyzeDatasetSharded(ctx context.Context, ds *Dataset, shards int) (*Repor
 	return rep, wrapCanceled(err)
 }
 
-// LoadDataset reads a dataset saved with Dataset.Save.
+// LoadDataset reads a dataset saved with Dataset.Save. Save's canonical
+// form is decoded in one pass, without reflection; a file in any other
+// form (hand-edited, foreign, or damaged) is decoded by encoding/json.
+// The input alone picks the path, and the result and every error are
+// encoding/json's either way. A null iteration is a parse error.
 func LoadDataset(path string) (*Dataset, error) { return crawler.Load(path) }
 
 // DefaultFilterEngine compiles the embedded EasyList/EasyPrivacy-style

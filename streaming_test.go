@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"searchads"
+	"searchads/internal/sweep/sweeptest"
 )
 
 // TestAccumulatorByteIdenticalToAnalyze is the v2 acceptance check: the
@@ -160,10 +161,7 @@ func TestSweepAnalysisShardsByteIdentical(t *testing.T) {
 	if sharded.PeakRetainedIterations > sharded.Parallelism*(2*3+1) {
 		t.Fatalf("sharded peak retention %d exceeds parallelism*(2*shards+1)", sharded.PeakRetainedIterations)
 	}
-	plain.PeakRetainedIterations, sharded.PeakRetainedIterations = 0, 0
-	j1b, _ := plain.JSON()
-	j2b, _ := sharded.JSON()
-	if !bytes.Equal(j1b, j2b) {
+	if !bytes.Equal(sweeptest.DeterministicJSON(t, plain), sweeptest.DeterministicJSON(t, sharded)) {
 		t.Fatalf("sharded sweep result differs from sequential:\n%s\n---\n%s", j1, j2)
 	}
 }
