@@ -1,6 +1,8 @@
 package searchads_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
 	"os"
 	"path/filepath"
@@ -74,6 +76,58 @@ func TestGoldenReports(t *testing.T) {
 			checkGolden(t, cell.name+".json", jsonBytes)
 		})
 	}
+	for _, cell := range datasetPinCells {
+		t.Run("dataset_"+cell.name, func(t *testing.T) {
+			ds, err := searchads.NewStudy(cell.cfg).Crawl(t.Context())
+			if err != nil {
+				t.Fatalf("Crawl: %v", err)
+			}
+			path := filepath.Join(t.TempDir(), "dataset.json")
+			if err := ds.Save(path); err != nil {
+				t.Fatalf("Save: %v", err)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(data)
+			checkGolden(t, "dataset_"+cell.name+".sha256", []byte(hex.EncodeToString(sum[:])+"\n"))
+		})
+	}
+}
+
+// datasetPinCells are crawls whose saved dataset bytes are pinned by
+// SHA-256 under testdata/golden/dataset_<name>.sha256. The report cells
+// above see a dataset only through the analysis; these pin every
+// recorded href, hop, request and cookie, including the engines the
+// report cells leave out (StartPage's upstream hop, Qwant's
+// api.qwant.com bounce wrapper).
+var datasetPinCells = []struct {
+	name string
+	cfg  searchads.Config
+}{
+	{
+		// All five engines, flat storage.
+		name: "five_engines",
+		cfg: searchads.Config{
+			Seed:             404,
+			Engines:          searchads.AllEngines(),
+			QueriesPerEngine: 6,
+		},
+	},
+	{
+		// All five engines, partitioned storage, bot-hostile faults:
+		// partition keys, retries and failed hops.
+		name: "partitioned_bot_hostile",
+		cfg: searchads.Config{
+			Seed:             505,
+			Engines:          searchads.AllEngines(),
+			QueriesPerEngine: 6,
+			Storage:          searchads.PartitionedStorage,
+			FaultProfile:     "bot-hostile",
+			FaultRate:        0.1,
+		},
+	},
 }
 
 func checkGolden(t *testing.T, name string, got []byte) {
