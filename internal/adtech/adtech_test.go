@@ -13,8 +13,8 @@ import (
 )
 
 func TestBuildChainNesting(t *testing.T) {
-	landing := urlx.MustParse("https://shop.example/land?gclid=X")
-	u := BuildChain([]string{"clickserve.dartsearch.net", "ad.doubleclick.net"}, landing)
+	landing := "https://shop.example/land?gclid=X"
+	u := urlx.MustParse(BuildChain([]string{"clickserve.dartsearch.net", "ad.doubleclick.net"}, landing))
 	if u.Host != "clickserve.dartsearch.net" || u.Path != "/link/click" {
 		t.Fatalf("outer hop = %s%s", u.Host, u.Path)
 	}
@@ -24,11 +24,11 @@ func TestBuildChainNesting(t *testing.T) {
 		t.Fatalf("inner hop = %s%s", u2.Host, u2.Path)
 	}
 	next2, _ := urlx.Param(u2, NextParam)
-	if next2 != landing.String() {
+	if next2 != landing {
 		t.Fatalf("innermost = %q", next2)
 	}
 	// Empty chain returns the landing URL itself.
-	if got := BuildChain(nil, landing); got.String() != landing.String() {
+	if got := BuildChain(nil, landing); got != landing {
 		t.Fatalf("empty chain = %s", got)
 	}
 }
@@ -164,7 +164,7 @@ func TestPlatformBuildClick(t *testing.T) {
 	if click.ClickID == "" || !strings.HasPrefix(click.ClickID, "Cj0KCQjw") {
 		t.Fatalf("gclid = %q", click.ClickID)
 	}
-	if got, _ := urlx.Param(click.FinalLanding, "gclid"); got != click.ClickID {
+	if got, _ := urlx.Param(urlx.MustParse(click.FinalLanding), "gclid"); got != click.ClickID {
 		t.Fatalf("landing gclid = %q", got)
 	}
 	// Unwind the chain the engine renders around the landing URL: click
@@ -190,7 +190,7 @@ func clickChain(t *testing.T, p *Platform, click *AdClick) *url.URL {
 	if got := HopPath(p.ClickHost); got != p.ClickPath {
 		t.Fatalf("HopPath(%s) = %s, want the click path %s", p.ClickHost, got, p.ClickPath)
 	}
-	u := BuildChain(append([]string{p.ClickHost}, click.Campaign.Stack...), click.FinalLanding)
+	u := urlx.MustParse(BuildChain(append([]string{p.ClickHost}, click.Campaign.Stack...), click.FinalLanding))
 	if u.Host != p.ClickHost || u.Path != p.ClickPath {
 		t.Fatalf("click server = %s%s", u.Host, u.Path)
 	}
@@ -223,7 +223,7 @@ func TestMicrosoftClickWithCrossTag(t *testing.T) {
 	if hops := unwind(t, clickChain(t, m, click)); len(hops) != 2 || hops[0] != "www.bing.com" || hops[1] != "hotel.example" {
 		t.Fatalf("hops = %v", hops)
 	}
-	q := click.FinalLanding.Query()
+	q := urlx.MustParse(click.FinalLanding).Query()
 	if q.Get("msclkid") == "" || q.Get("gclid") == "" || q.Get("irclickid") == "" {
 		t.Fatalf("landing params = %v", q)
 	}
@@ -232,7 +232,7 @@ func TestMicrosoftClickWithCrossTag(t *testing.T) {
 	}
 	// Without auto-tag, no click ID.
 	plain := m.BuildClick(&Campaign{ID: "c3", Landing: urlx.MustParse("https://x.example/")}, "bing-0001")
-	if plain.ClickID != "" || plain.FinalLanding.RawQuery != "" {
+	if plain.ClickID != "" || plain.FinalLanding != "https://x.example/" {
 		t.Fatalf("un-tagged campaign got params: %s", plain.FinalLanding)
 	}
 }

@@ -27,9 +27,7 @@ func TestBuildChainUnwindInverse(t *testing.T) {
 			hops[i] = hostPool[int(s)%len(hostPool)]
 		}
 		landing := urlx.MustParse("https://shop.example/landing?x=" + string(rune('a'+pathSeed%26)))
-		chain := BuildChain(hops, landing)
-
-		u := chain
+		u := urlx.MustParse(BuildChain(hops, landing.String()))
 		for i := 0; ; i++ {
 			next, ok := urlx.Param(u, NextParam)
 			if !ok {
@@ -55,13 +53,13 @@ func TestBuildChainUnwindInverse(t *testing.T) {
 // TestChainHopPathsApplied: every known hop gets its documented endpoint
 // path.
 func TestChainHopPathsApplied(t *testing.T) {
-	landing := urlx.MustParse("https://d.example/")
+	landing := "https://d.example/"
 	for host, wantPath := range map[string]string{
 		"clickserve.dartsearch.net": "/link/click",
 		"6008.xg4ken.com":           "/media/redir.php", // via registrable-domain fallback
 		"ad.atdmt.com":              "/c/go",
 	} {
-		u := BuildChain([]string{host}, landing)
+		u := urlx.MustParse(BuildChain([]string{host}, landing))
 		if u.Path != wantPath {
 			t.Errorf("%s path = %s, want %s", host, u.Path, wantPath)
 		}

@@ -2,6 +2,7 @@ package adtech
 
 import (
 	"net/url"
+	"slices"
 	"sort"
 	"strings"
 
@@ -127,7 +128,7 @@ func (p *Platform) MintOtherUID(client string) string {
 type AdClick struct {
 	// FinalLanding is the landing URL including appended tracking
 	// parameters.
-	FinalLanding *url.URL
+	FinalLanding string
 	// ClickID is the minted platform click ID ("" if the campaign does
 	// not auto-tag).
 	ClickID string
@@ -136,26 +137,44 @@ type AdClick struct {
 }
 
 // BuildClick decorates the landing URL for one rendered ad impression
-// with the click IDs and extra UID parameters the campaign carries.
+// with the click IDs and extra UID parameters the campaign carries,
+// set in sorted name order (see urlx.SetParam; a later-minted value
+// replaces an earlier one under the same name).
 func (p *Platform) BuildClick(c *Campaign, client string) *AdClick {
-	landing := urlx.CopyURL(c.Landing)
 	click := &AdClick{Campaign: c}
-	params := map[string]string{}
+	var params [3]struct{ key, value string }
+	n := 0
+	set := func(key, value string) {
+		for i := range params[:n] {
+			if params[i].key == key {
+				params[i].value = value
+				return
+			}
+		}
+		params[n].key, params[n].value = key, value
+		n++
+	}
 	if c.AutoTag {
 		click.ClickID = p.MintClickID(client)
-		params[p.ClickIDParam] = click.ClickID
+		set(p.ClickIDParam, click.ClickID)
 	}
 	if c.CrossTagGCLID && p.ClickIDParam != "gclid" {
-		n := p.seq.Next(client)
-		params["gclid"] = "Cj0KCQjw" + p.seed.Derive("crossgclid", client).DeriveN("n", n).Token(48, detrand.Base64URLLike)
+		seq := p.seq.Next(client)
+		set("gclid", "Cj0KCQjw"+p.seed.Derive("crossgclid", client).DeriveN("n", seq).Token(48, detrand.Base64URLLike))
 	}
 	if c.OtherUIDParam != "" {
-		params[c.OtherUIDParam] = p.MintOtherUID(client)
+		set(c.OtherUIDParam, p.MintOtherUID(client))
 	}
-	if len(params) > 0 {
-		landing = urlx.WithParams(landing, params)
+	if n == 0 {
+		click.FinalLanding = c.Landing.String()
+		return click
 	}
-	click.FinalLanding = landing
+	slices.SortFunc(params[:n], func(a, b struct{ key, value string }) int { return strings.Compare(a.key, b.key) })
+	landing := *c.Landing
+	for _, kv := range params[:n] {
+		landing.RawQuery = urlx.SetParam(landing.RawQuery, kv.key, kv.value)
+	}
+	click.FinalLanding = landing.String()
 	return click
 }
 
@@ -172,19 +191,23 @@ func (pool *Pool) Select(query string, n int, seed detrand.Source) []*Campaign {
 		return nil
 	}
 	terms := strings.Fields(strings.ToLower(query))
-	matched := make([]*Campaign, 0, 8)
-	rest := make([]*Campaign, 0, len(pool.Campaigns))
+	// Matches first, then the filler, in one slice.
+	out := make([]*Campaign, 0, len(pool.Campaigns))
 	for _, c := range pool.Campaigns {
 		if campaignMatches(c, terms) {
-			matched = append(matched, c)
-		} else {
+			out = append(out, c)
+		}
+	}
+	rest := out[len(out):]
+	for _, c := range pool.Campaigns {
+		if !campaignMatches(c, terms) {
 			rest = append(rest, c)
 		}
 	}
 	// Deterministic shuffle of the filler, keyed by the query.
 	g := seed.Derive("select", query).Rand()
 	g.Shuffle(len(rest), func(i, j int) { rest[i], rest[j] = rest[j], rest[i] })
-	out := append(matched, rest...)
+	out = out[:len(out)+len(rest)]
 	if len(out) > n {
 		out = out[:n]
 	}

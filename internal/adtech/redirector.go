@@ -7,7 +7,6 @@ package adtech
 
 import (
 	"net/http"
-	"net/url"
 	"strconv"
 	"sync"
 	"time"
@@ -182,8 +181,7 @@ func (r *Registry) referrerBounce(p *Policy, req *netsim.Request, next string) *
 		if uid == "" {
 			uid = r.mintUID(p.Host, req.Client)
 		}
-		own := urlx.CopyURL(req.URL)
-		own = urlx.WithParams(own, map[string]string{"ruid": uid})
+		own := urlx.WithParam(req.URL, "ruid", uid)
 		resp := netsim.Redirect(http.StatusFound, own.String())
 		if _, already := req.Cookie(p.CookieName); !already {
 			c := netsim.NewCookie(p.CookieName, uid)
@@ -248,20 +246,71 @@ func HopPath(host string) string {
 	return "/redirect"
 }
 
+// Chain composes a nested bounce URL from the innermost target
+// outward: each Wrap makes the URL built so far the NextParam of one
+// more hop. Two buffers alternate between nesting levels, and chains
+// are pooled, so a chain of any depth costs one string, made by Finish.
+// Chains are rebuilt for all four ads of every SERP render, and the
+// nested payload grows with every hop, so this is the allocation that
+// matters.
+type Chain struct {
+	target    string
+	cur, next []byte
+	wrapped   bool
+}
+
+var chainPool = sync.Pool{New: func() any { return new(Chain) }}
+
+// NewChain starts a chain at target (the decorated landing URL). Finish
+// it to get the URL and release it.
+func NewChain(target string) *Chain {
+	c := chainPool.Get().(*Chain)
+	c.target, c.wrapped = target, false
+	c.cur = append(c.cur[:0], target...)
+	return c
+}
+
+// Wrap makes the chain enter through host's bounce endpoint at path:
+// "https://host/path?next=<the URL so far, query-escaped>". host and
+// path are written verbatim; like every simulated host and endpoint
+// path, they must contain nothing a URL would escape, and path must
+// start with '/'.
+func (c *Chain) Wrap(host, path string) {
+	n := append(c.next[:0], "https://"...)
+	n = append(n, host...)
+	n = append(n, path...)
+	n = append(n, "?"+NextParam+"="...)
+	n = urlx.AppendQueryEscape(n, c.cur)
+	c.cur, c.next = n, c.cur
+	c.wrapped = true
+}
+
+// WrapHops wraps the chain in hops, each at its HopPath, from the last
+// to the first, so that the finished URL enters hops[0].
+func (c *Chain) WrapHops(hops []string) {
+	for i := len(hops) - 1; i >= 0; i-- {
+		c.Wrap(hops[i], HopPath(hops[i]))
+	}
+}
+
+// Finish returns the chain's URL (the target itself when nothing
+// wrapped it) and releases c, which must not be used again.
+func (c *Chain) Finish() string {
+	s := c.target
+	if c.wrapped {
+		s = string(c.cur)
+	}
+	c.target = ""
+	chainPool.Put(c)
+	return s
+}
+
 // BuildChain composes the nested bounce URL for a redirect chain: the
 // returned URL enters hops[0]; each hop's NextParam carries the following
 // hop; the innermost target is the landing URL. An empty hops slice
 // returns the landing URL itself.
-func BuildChain(hops []string, landing *url.URL) *url.URL {
-	next := landing
-	for i := len(hops) - 1; i >= 0; i-- {
-		host := hops[i]
-		u := &url.URL{Scheme: "https", Host: host, Path: HopPath(host)}
-		// One builder pass instead of url.Values{}.Encode(): chains are
-		// rebuilt for all four ads of every SERP render, and the nested
-		// next= payload grows quadratically with hop depth.
-		u.RawQuery = urlx.EncodeQuery(NextParam, next.String())
-		next = u
-	}
-	return next
+func BuildChain(hops []string, landing string) string {
+	c := NewChain(landing)
+	c.WrapHops(hops)
+	return c.Finish()
 }

@@ -3,6 +3,7 @@ package advertiser
 import (
 	"net/http"
 	"strings"
+	"sync"
 
 	"searchads/internal/detrand"
 	"searchads/internal/netsim"
@@ -43,21 +44,36 @@ func (s *Site) LandingURL() string {
 
 // SiteRegistry serves every advertiser site.
 type SiteRegistry struct {
-	sites map[string]*Site
+	sites map[string]*servedSite
 	seed  detrand.Source
 	// seq scopes session-cookie minting per requesting client, keeping
 	// minted values independent of cross-engine request interleaving.
 	seq detrand.Seq
 }
 
+// servedSite is one site as the registry serves it, the handler of its
+// hosts; its tag script is siteTag. The landing page's subresource list
+// and products link are built on the first landing visit and shared by
+// every page served after it (pages only read them).
+type servedSite struct {
+	*Site
+	reg       *SiteRegistry
+	once      sync.Once
+	resources []netsim.ResourceRef
+	products  string
+}
+
+// siteTag is a site's own tag script.
+type siteTag servedSite
+
 // NewSiteRegistry builds a registry over the given sites.
 func NewSiteRegistry(seed detrand.Source, sites []*Site) *SiteRegistry {
 	reg := &SiteRegistry{
-		sites: make(map[string]*Site, len(sites)),
+		sites: make(map[string]*servedSite, len(sites)),
 		seed:  seed.Derive("advertisers"),
 	}
 	for _, s := range sites {
-		reg.sites[s.Domain] = s
+		reg.sites[s.Domain] = &servedSite{Site: s, reg: reg}
 	}
 	return reg
 }
@@ -66,75 +82,75 @@ func NewSiteRegistry(seed detrand.Source, sites []*Site) *SiteRegistry {
 // apex and www. subdomain.
 func (reg *SiteRegistry) Register(net *netsim.Network) {
 	for domain, s := range reg.sites {
-		site := s
-		h := netsim.HandlerFunc(func(req *netsim.Request) *netsim.Response {
-			return reg.serve(site, req)
-		})
-		net.HandleSite(domain, h)
+		net.HandleSite(domain, s)
 	}
 }
 
 // Lookup returns the site for a domain.
 func (reg *SiteRegistry) Lookup(domain string) (*Site, bool) {
-	s, ok := reg.sites[domain]
-	return s, ok
+	if s, ok := reg.sites[domain]; ok {
+		return s.Site, true
+	}
+	return nil, false
 }
 
 // Sites returns the number of registered sites.
 func (reg *SiteRegistry) Sites() int { return len(reg.sites) }
 
-func (reg *SiteRegistry) serve(s *Site, req *netsim.Request) *netsim.Response {
+// Serve answers the site's tag script and, on any other path, its
+// landing page.
+func (s *servedSite) Serve(req *netsim.Request) *netsim.Response {
 	resp := netsim.NewResponse(http.StatusOK)
 	if strings.HasSuffix(req.URL.Path, "/site.js") {
-		resp.Script = reg.siteTag(s)
+		resp.Script = (*siteTag)(s)
 		return resp
 	}
-	// Landing page (any path serves the landing document).
-	resources := make([]netsim.ResourceRef, 0, 2+len(s.Trackers))
-	resources = append(resources,
-		netsim.ResourceRef{URL: "https://" + s.Domain + "/static/site.js", Type: netsim.TypeScript},
-		netsim.ResourceRef{URL: "https://" + s.Domain + "/static/style.css", Type: netsim.TypeStylesheet},
-	)
-	for _, t := range s.Trackers {
-		resources = append(resources, netsim.ResourceRef{URL: t.ScriptURL(), Type: netsim.TypeScript})
-	}
+	s.once.Do(func() {
+		s.resources = make([]netsim.ResourceRef, 0, 2+len(s.Trackers))
+		s.resources = append(s.resources,
+			netsim.ResourceRef{URL: "https://" + s.Domain + "/static/site.js", Type: netsim.TypeScript},
+			netsim.ResourceRef{URL: "https://" + s.Domain + "/static/style.css", Type: netsim.TypeStylesheet},
+		)
+		for _, t := range s.Trackers {
+			s.resources = append(s.resources, netsim.ResourceRef{URL: t.ScriptURL(), Type: netsim.TypeScript})
+		}
+		s.products = "https://" + s.Domain + "/products"
+	})
 	page := &netsim.Page{
 		Title: s.Domain,
 		Root: netsim.NewElement("div", "id", "main").Append(
-			netsim.NewElement("h1").Append(),
-			netsim.NewElement("a", "href", "https://"+s.Domain+"/products"),
+			netsim.NewElement("h1"),
+			netsim.NewElement("a", "href", s.products),
 		),
-		Resources: resources,
+		Resources: s.resources,
 	}
 	resp.Page = page
 	// First-party session cookie: a rotating value the §3.2 session
 	// filter must reject.
 	if _, ok := req.Cookie("sess"); !ok {
-		n := reg.seq.Next(req.Client)
-		c := netsim.NewCookie("sess", reg.seed.Derive("sess", s.Domain, req.Client).DeriveN("n", n).Token(16, detrand.HexLower))
+		n := s.reg.seq.Next(req.Client)
+		c := netsim.NewCookie("sess", s.reg.seed.Derive("sess", s.Domain, req.Client).DeriveN("n", n).Token(16, detrand.HexLower))
 		resp.AddCookie(c)
 	}
 	return resp
 }
 
-// siteTag is the advertiser's own tag: it persists incoming click IDs to
+// Run is the advertiser's own tag: it persists incoming click IDs to
 // first-party storage, which is how "MSCLKID values are persisted in
 // 15%, 17%, and 1% of cases" (§4.3.2) arises.
-func (reg *SiteRegistry) siteTag(s *Site) netsim.ScriptProgram {
-	return netsim.ScriptFunc(func(env netsim.ScriptEnv) {
-		for _, param := range s.PersistParams {
-			v, ok := urlx.Param(env.PageURL(), param)
-			if !ok || v == "" {
-				continue
-			}
-			name := clickIDCookieNames[param]
-			if name == "" {
-				name = "_" + param
-			}
-			env.SetDocumentCookie(netsim.NewCookie(name, v))
-			if s.PersistToLocalStorage {
-				env.LocalStorageSet(name, v)
-			}
+func (tag *siteTag) Run(env netsim.ScriptEnv) {
+	for _, param := range tag.PersistParams {
+		v, ok := urlx.Param(env.PageURL(), param)
+		if !ok || v == "" {
+			continue
 		}
-	})
+		name := clickIDCookieNames[param]
+		if name == "" {
+			name = "_" + param
+		}
+		env.SetDocumentCookie(netsim.NewCookie(name, v))
+		if tag.PersistToLocalStorage {
+			env.LocalStorageSet(name, v)
+		}
+	}
 }

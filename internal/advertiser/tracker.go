@@ -8,6 +8,7 @@ package advertiser
 
 import (
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 
@@ -22,7 +23,8 @@ type Tracker struct {
 	Host string
 	// ScriptPath is the analytics script resource.
 	ScriptPath string
-	// PixelPath is the collection endpoint (image/XHR).
+	// PixelPath is the collection endpoint's path (image/XHR), without
+	// a query: the script writes its own.
 	PixelPath string
 	// SetsFirstPartyCookie makes the script plant an ID in the embedding
 	// page's first-party storage (the pattern of §6's "first-party
@@ -118,7 +120,7 @@ func MintUnknownTrackers(seed detrand.Source, n int) []*Tracker {
 
 // TrackerRegistry serves every tracker host and mints their identifiers.
 type TrackerRegistry struct {
-	trackers map[string]*Tracker
+	trackers map[string]*servedTracker
 	seed     detrand.Source
 	// seq scopes minting per requesting client (trackers are embedded on
 	// every engine's destinations, so a global counter would tie minted
@@ -126,32 +128,53 @@ type TrackerRegistry struct {
 	seq detrand.Seq
 }
 
+// servedTracker is one tracker as the registry serves it, the handler
+// of its host; its script is trackerScript. What every request would
+// otherwise rebuild is built once, with the registry.
+type servedTracker struct {
+	*Tracker
+	reg *TrackerRegistry
+	// fpLabel ("fp/<host>") and tpLabel ("3p/<host>") key the minting
+	// streams of the first- and third-party cookies the tracker plants
+	// ("" when it plants none).
+	fpLabel, tpLabel string
+}
+
+// trackerScript is a tracker's script program.
+type trackerScript servedTracker
+
 // NewTrackerRegistry builds a registry over the given trackers.
 func NewTrackerRegistry(seed detrand.Source, trackers []*Tracker) *TrackerRegistry {
 	reg := &TrackerRegistry{
-		trackers: make(map[string]*Tracker, len(trackers)),
+		trackers: make(map[string]*servedTracker, len(trackers)),
 		seed:     seed.Derive("trackers"),
 	}
 	for _, t := range trackers {
-		reg.trackers[t.Host] = t
+		st := &servedTracker{Tracker: t, reg: reg}
+		if t.SetsFirstPartyCookie {
+			st.fpLabel = "fp/" + t.Host
+		}
+		if t.SetsThirdPartyCookie {
+			st.tpLabel = "3p/" + t.Host
+		}
+		reg.trackers[t.Host] = st
 	}
 	return reg
 }
 
 // Register installs all tracker hosts on the network.
 func (reg *TrackerRegistry) Register(net *netsim.Network) {
-	for host, t := range reg.trackers {
-		tracker := t
-		net.Handle(host, netsim.HandlerFunc(func(req *netsim.Request) *netsim.Response {
-			return reg.serve(tracker, req)
-		}))
+	for host, st := range reg.trackers {
+		net.Handle(host, st)
 	}
 }
 
 // Lookup returns the tracker for a host.
 func (reg *TrackerRegistry) Lookup(host string) (*Tracker, bool) {
-	t, ok := reg.trackers[host]
-	return t, ok
+	if st, ok := reg.trackers[host]; ok {
+		return st.Tracker, true
+	}
+	return nil, false
 }
 
 func (reg *TrackerRegistry) mint(label, client string) string {
@@ -159,15 +182,16 @@ func (reg *TrackerRegistry) mint(label, client string) string {
 	return reg.seed.Derive(label, client).DeriveN("n", n).Token(22, detrand.AlphaNum)
 }
 
-func (reg *TrackerRegistry) serve(t *Tracker, req *netsim.Request) *netsim.Response {
+// Serve answers the tracker's script and pixel requests.
+func (t *servedTracker) Serve(req *netsim.Request) *netsim.Response {
 	resp := netsim.NewResponse(http.StatusOK)
 	switch {
 	case strings.HasPrefix(req.URL.Path, t.ScriptPath):
-		resp.Script = reg.scriptFor(t)
+		resp.Script = (*trackerScript)(t)
 	case strings.HasPrefix(req.URL.Path, t.PixelPath):
 		if t.SetsThirdPartyCookie {
 			if _, already := req.Cookie("tuid"); !already {
-				c := netsim.NewCookie("tuid", reg.mint("3p/"+t.Host, req.Client))
+				c := netsim.NewCookie("tuid", t.reg.mint(t.tpLabel, req.Client))
 				c.SameSite = netsim.SameSiteNone
 				c.Secure = true
 				resp.AddCookie(c)
@@ -178,31 +202,44 @@ func (reg *TrackerRegistry) serve(t *Tracker, req *netsim.Request) *netsim.Respo
 	return resp
 }
 
-// scriptFor returns the tracker script's behaviour: plant a first-party
-// ID, read smuggled click IDs, and phone home with a pixel request.
-func (reg *TrackerRegistry) scriptFor(t *Tracker) netsim.ScriptProgram {
-	return netsim.ScriptFunc(func(env netsim.ScriptEnv) {
-		if t.SetsFirstPartyCookie {
-			name := t.FirstPartyCookieName
-			if _, exists := findCookie(env.DocumentCookies(), name); !exists {
-				env.SetDocumentCookie(netsim.NewCookie(name, reg.mint("fp/"+t.Host, env.Client())))
+// smuggledParams are the click-ID parameters a tracker that reads
+// smuggled UIDs forwards, in the order it appends them.
+var smuggledParams = [...]string{"gclid", "msclkid"}
+
+// Run is the tracker script's behaviour: plant a first-party ID, read
+// smuggled click IDs, and phone home with a pixel request.
+func (s *trackerScript) Run(env netsim.ScriptEnv) {
+	t := (*servedTracker)(s)
+	if t.SetsFirstPartyCookie {
+		name := t.FirstPartyCookieName
+		if _, exists := findCookie(env.DocumentCookies(), name); !exists {
+			env.SetDocumentCookie(netsim.NewCookie(name, t.reg.mint(t.fpLabel, env.Client())))
+		}
+	}
+	// Phone home: the collection request the filter lists catch.
+	page := env.PageURL()
+	// Escaping at most triples a byte, and a decoded value is no longer
+	// than its raw form in the page's query.
+	size := len("dl=") + 3*len(page.Host)
+	if t.ReadsSmuggledUIDs {
+		size += 2*len("&msclkid=") + 3*len(page.RawQuery)
+	}
+	var q strings.Builder
+	q.Grow(size)
+	urlx.AppendQuery(&q, "dl", page.Host)
+	if t.ReadsSmuggledUIDs {
+		// Forward smuggled click IDs so the tracker can join the
+		// destination visit to the click (§4.3: "redirectors can
+		// aggregate users' activity on ads destination websites").
+		for _, param := range smuggledParams {
+			if v, ok := urlx.Param(page, param); ok {
+				q.WriteByte('&')
+				urlx.AppendQuery(&q, param, v)
 			}
 		}
-		// Phone home: the collection request the filter lists catch.
-		pixel := urlx.MustParse(t.PixelURL())
-		pixel = urlx.WithParam(pixel, "dl", env.PageURL().Host)
-		if t.ReadsSmuggledUIDs {
-			// Forward smuggled click IDs so the tracker can join the
-			// destination visit to the click (§4.3: "redirectors can
-			// aggregate users' activity on ads destination websites").
-			for _, param := range []string{"gclid", "msclkid"} {
-				if v, ok := urlx.Param(env.PageURL(), param); ok {
-					pixel = urlx.WithParam(pixel, param, v)
-				}
-			}
-		}
-		env.Fetch(http.MethodGet, pixel, netsim.TypeImage, "")
-	})
+	}
+	pixel := &url.URL{Scheme: "https", Host: t.Host, Path: t.PixelPath, RawQuery: q.String()}
+	env.Fetch(http.MethodGet, pixel, netsim.TypeImage, "")
 }
 
 func findCookie(cs []*netsim.Cookie, name string) (*netsim.Cookie, bool) {

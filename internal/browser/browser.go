@@ -232,10 +232,6 @@ func (b *Browser) CrawlerRequests() []*netsim.Request { return b.crawlerLog }
 // complete).
 func (b *Browser) ExtensionRequests() []*netsim.Request { return b.extensionLog }
 
-// CurrentURL returns the settled top-level document URL (nil before any
-// navigation).
-func (b *Browser) CurrentURL() *url.URL { return b.currentURL }
-
 // Page returns the settled top-level document (nil before navigation).
 func (b *Browser) Page() *netsim.Page { return b.page }
 
@@ -339,7 +335,7 @@ func (b *Browser) navigate(rawURL, mechanism, referrer string) (*NavResult, erro
 		if err != nil {
 			// Record the failing hop so the dataset can attribute the
 			// loss: which URL, how it failed, how hard the browser tried.
-			h := Hop{URL: u.String(), Mechanism: mechanism, Retries: retries,
+			h := Hop{URL: req.URLString(), Mechanism: mechanism, Retries: retries,
 				FaultClass: errorClassOf(resp, err)}
 			if resp != nil {
 				h.Status = resp.Status
@@ -347,7 +343,7 @@ func (b *Browser) navigate(rawURL, mechanism, referrer string) (*NavResult, erro
 			res.Hops = append(res.Hops, h)
 			return res, err
 		}
-		h := Hop{URL: u.String(), Status: resp.Status, Mechanism: mechanism, Retries: retries}
+		h := Hop{URL: req.URLString(), Status: resp.Status, Mechanism: mechanism, Retries: retries}
 		for _, c := range resp.SetCookies {
 			h.SetCookieNames = append(h.SetCookieNames, c.Name)
 		}
@@ -384,7 +380,7 @@ func (b *Browser) navigate(rawURL, mechanism, referrer string) (*NavResult, erro
 			// Meta/JS redirects make the redirecting document the next
 			// referrer — which is how referrer-based UID smuggling
 			// passes identifiers (paper §5).
-			sub, err := b.navigate(redirect, mech, u.String())
+			sub, err := b.navigate(redirect, mech, req.URLString())
 			res.Hops = append(res.Hops, sub.Hops...)
 			res.FinalURL, res.Page = sub.FinalURL, sub.Page
 			return res, err
@@ -415,6 +411,13 @@ func (b *Browser) loadPage(p *netsim.Page, pageURL *url.URL, firstParty string) 
 }
 
 func (b *Browser) fetchResources(p *netsim.Page, pageURL *url.URL, firstParty string) {
+	if len(p.Resources) == 0 {
+		return
+	}
+	referrer := pageURL.String()
+	// Scripts run one at a time and keep nothing of their environment,
+	// so the page's scripts share one, re-pointed at each script.
+	var env *scriptEnv
 	for _, ref := range p.Resources {
 		u, err := urlx.Resolve(pageURL, ref.URL)
 		if err != nil {
@@ -426,14 +429,17 @@ func (b *Browser) fetchResources(p *netsim.Page, pageURL *url.URL, firstParty st
 			Type:       ref.Type,
 			FirstParty: firstParty,
 			Initiator:  "page",
-			Referrer:   pageURL.String(),
+			Referrer:   referrer,
 		}
 		resp, err := b.send(req, false)
 		if err != nil {
 			continue // missing resources don't fail page loads
 		}
 		if resp.Script != nil {
-			env := &scriptEnv{b: b, page: p, pageURL: pageURL, firstParty: firstParty, src: u}
+			if env == nil {
+				env = &scriptEnv{b: b, page: p, pageURL: pageURL, firstParty: firstParty}
+			}
+			env.src, env.initiator = u, ""
 			resp.Script.Run(env)
 		}
 	}

@@ -26,7 +26,7 @@ func buildWorld(t *testing.T) *netsim.Network {
 			Root: netsim.NewElement("div").Append(
 				&netsim.Element{
 					Tag:   "a",
-					Attrs: map[string]string{"href": "https://r.com/bounce?dest=https%3A%2F%2Fdest.com%2Fland", "ping": "https://a.com/ping"},
+					Attrs: []netsim.Attr{{Name: "href", Value: "https://r.com/bounce?dest=https%3A%2F%2Fdest.com%2Fland"}, {Name: "ping", Value: "https://a.com/ping"}},
 					OnClick: []netsim.Beacon{{
 						Method: http.MethodPost,
 						URL:    "https://a.com/clicklog",

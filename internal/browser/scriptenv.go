@@ -18,6 +18,8 @@ type scriptEnv struct {
 	pageURL    *url.URL
 	firstParty string
 	src        *url.URL
+	// initiator is "script:<src host>", built by the first Fetch.
+	initiator string
 }
 
 var _ netsim.ScriptEnv = (*scriptEnv)(nil)
@@ -71,12 +73,15 @@ func (e *scriptEnv) Fetch(method string, u *url.URL, typ netsim.ResourceType, bo
 	if typ == "" {
 		typ = netsim.TypeXHR
 	}
+	if e.initiator == "" {
+		e.initiator = "script:" + e.src.Host
+	}
 	req := &netsim.Request{
 		Method:     method,
 		URL:        u,
 		Type:       typ,
 		FirstParty: e.firstParty,
-		Initiator:  "script:" + e.src.Host,
+		Initiator:  e.initiator,
 		Body:       body,
 	}
 	e.b.send(req, false)
@@ -104,7 +109,7 @@ func (e *scriptEnv) DecorateLinks(fn func(href *url.URL) *url.URL) {
 			u = e.pageURL.ResolveReference(u)
 		}
 		if replacement := fn(u); replacement != nil {
-			el.Attrs["href"] = replacement.String()
+			el.SetAttr("href", replacement.String())
 		}
 		return true
 	})

@@ -3,7 +3,7 @@ package netsim
 import (
 	"io"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -110,15 +110,12 @@ func renderElement(b *strings.Builder, e *Element) {
 		return
 	}
 	b.WriteString("<" + e.Tag)
-	// Attrs is a map: serialize in sorted key order so rendered HTML is
-	// byte-identical across runs.
-	keys := make([]string, 0, len(e.Attrs))
-	for k := range e.Attrs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		b.WriteString(" " + k + `="` + htmlEscape(e.Attrs[k]) + `"`)
+	// Attributes serialize in sorted name order, whatever order they
+	// were set in.
+	attrs := slices.Clone(e.Attrs)
+	slices.SortFunc(attrs, func(a, b Attr) int { return strings.Compare(a.Name, b.Name) })
+	for _, a := range attrs {
+		b.WriteString(" " + a.Name + `="` + htmlEscape(a.Value) + `"`)
 	}
 	b.WriteString(">")
 	b.WriteString(htmlEscape(e.Text))

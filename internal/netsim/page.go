@@ -15,6 +15,8 @@ type Page struct {
 	// Root is the document element tree.
 	Root *Element
 	// Resources are subresource fetches the browser performs on load.
+	// They are read-only: servers share one list between the pages
+	// they serve.
 	Resources []ResourceRef
 	// Frames are iframe documents loaded with the page ("ads are either
 	// part of the main page or are loaded through an iframe", §3.1).
@@ -36,8 +38,10 @@ type ResourceRef struct {
 // Element is a DOM-like node. Only the attributes the crawler inspects are
 // modelled.
 type Element struct {
-	Tag      string
-	Attrs    map[string]string
+	Tag string
+	// Attrs holds the attributes, each name at most once, in the order
+	// they were set; read them with Attr and write them with SetAttr.
+	Attrs    []Attr
 	Text     string
 	Children []*Element
 	// OnClick lists beacon requests fired by click handlers before
@@ -55,26 +59,72 @@ type Beacon struct {
 	Body   string
 }
 
+// Attr is one element attribute.
+type Attr struct {
+	Name  string
+	Value string
+}
+
 // NewElement constructs an element with the given tag and attribute pairs
-// (key1, val1, key2, val2, ...). It panics on an odd number of pairs,
-// which is always a programming error in the simulator.
+// (key1, val1, key2, val2, ...); a repeated key keeps its last value. It
+// panics on an odd number of pairs, which is always a programming error
+// in the simulator.
 func NewElement(tag string, kv ...string) *Element {
 	if len(kv)%2 != 0 {
 		panic("netsim: NewElement attribute pairs must be even")
 	}
-	e := &Element{Tag: tag, Attrs: make(map[string]string, len(kv)/2)}
+	// The element and its attributes share one allocation when they
+	// fit the small sizes every simulated page uses.
+	var e *Element
+	switch n := len(kv) / 2; {
+	case n == 0:
+		return &Element{Tag: tag}
+	case n <= 2:
+		b := new(struct {
+			e Element
+			a [2]Attr
+		})
+		e = &b.e
+		e.Attrs = b.a[:0]
+	case n <= 4:
+		b := new(struct {
+			e Element
+			a [4]Attr
+		})
+		e = &b.e
+		e.Attrs = b.a[:0]
+	default:
+		e = &Element{Attrs: make([]Attr, 0, n)}
+	}
+	e.Tag = tag
 	for i := 0; i < len(kv); i += 2 {
-		e.Attrs[kv[i]] = kv[i+1]
+		e.SetAttr(kv[i], kv[i+1])
 	}
 	return e
 }
 
 // Attr returns the named attribute ("" when absent).
 func (e *Element) Attr(name string) string {
-	if e == nil || e.Attrs == nil {
+	if e == nil {
 		return ""
 	}
-	return e.Attrs[name]
+	for _, a := range e.Attrs {
+		if a.Name == name {
+			return a.Value
+		}
+	}
+	return ""
+}
+
+// SetAttr sets the named attribute, replacing its value when present.
+func (e *Element) SetAttr(name, value string) {
+	for i := range e.Attrs {
+		if e.Attrs[i].Name == name {
+			e.Attrs[i].Value = value
+			return
+		}
+	}
+	e.Attrs = append(e.Attrs, Attr{Name: name, Value: value})
 }
 
 // Append adds children and returns the element for chaining.

@@ -8,7 +8,6 @@ package serp
 
 import (
 	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -93,16 +92,29 @@ type Engine struct {
 	// depend only on (engine, client, serial) — never on how requests
 	// from concurrently-crawled engines interleave.
 	seq detrand.Seq
+
+	// homeResources and serpResources are the subresource lists of the
+	// home page and the results page, shared by every page served
+	// (pages only read them).
+	homeResources, serpResources []netsim.ResourceRef
 }
 
 // NewEngine wires an engine from its parts.
 func NewEngine(spec Spec, platform *adtech.Platform, pool *adtech.Pool, reg *adtech.Registry, seed detrand.Source) *Engine {
+	static := "https://" + spec.Host + "/static/"
 	return &Engine{
 		Spec:        spec,
 		Platform:    platform,
 		Pool:        pool,
 		redirectors: reg,
 		seed:        seed.Derive("engine", spec.Name),
+		homeResources: []netsim.ResourceRef{
+			{URL: static + "app.js", Type: netsim.TypeScript},
+		},
+		serpResources: []netsim.ResourceRef{
+			{URL: static + "serp.js", Type: netsim.TypeScript},
+			{URL: static + "logo.png", Type: netsim.TypeImage},
+		},
 	}
 }
 
@@ -209,9 +221,7 @@ func (e *Engine) serveHome(req *netsim.Request) *netsim.Response {
 		Root: netsim.NewElement("div").Append(
 			netsim.NewElement("form", "action", e.Spec.SearchPath, "id", "search-form"),
 		),
-		Resources: []netsim.ResourceRef{
-			{URL: "https://" + e.Spec.Host + "/static/app.js", Type: netsim.TypeScript},
-		},
+		Resources: e.homeResources,
 	}
 	e.applyStorage(req, resp)
 	return resp
@@ -263,15 +273,13 @@ func (e *Engine) serveSERP(req *netsim.Request) *netsim.Response {
 	query := req.Query(e.Spec.QueryParam)
 	resp := netsim.NewResponse(http.StatusOK)
 	root := netsim.NewElement("div", "id", "serp")
+	root.Children = make([]*netsim.Element, 0, 2)
 	root.Append(organicsBlock())
 
 	page := &netsim.Page{
-		Title: query + " - " + e.Spec.Name,
-		Root:  root,
-		Resources: []netsim.ResourceRef{
-			{URL: "https://" + e.Spec.Host + "/static/serp.js", Type: netsim.TypeScript},
-			{URL: "https://" + e.Spec.Host + "/static/logo.png", Type: netsim.TypeImage},
-		},
+		Title:     query + " - " + e.Spec.Name,
+		Root:      root,
+		Resources: e.serpResources,
 	}
 
 	if !botDetected(req) {
@@ -319,11 +327,11 @@ var organicHrefs = func() [8]string {
 // organicsBlock builds a fresh organic-results block (plain links,
 // never to trackers, §4.1.2).
 func organicsBlock() *netsim.Element {
-	organics := netsim.NewElement("div", "id", "organic")
-	for _, href := range organicHrefs {
-		organics.Append(netsim.NewElement("a", "href", href, "data-organic", "1"))
+	var links [len(organicHrefs)]*netsim.Element
+	for i, href := range organicHrefs {
+		links[i] = netsim.NewElement("a", "href", href, "data-organic", "1")
 	}
-	return organics
+	return netsim.NewElement("div", "id", "organic").Append(links[:]...)
 }
 
 // renderAds builds the ads container. Every ad element carries the
@@ -339,11 +347,11 @@ func (e *Engine) renderAds(query, client string) *netsim.Element {
 		return container
 	}
 	campaigns := e.Pool.Select(query, AdsPerSERP, e.seed)
+	container.Children = make([]*netsim.Element, 0, len(campaigns))
 	for pos, c := range campaigns {
 		click := e.Platform.BuildClick(c, client)
-		href := e.buildHref(click)
 		el := netsim.NewElement("a",
-			"href", href.String(),
+			"href", e.buildHref(click),
 			"data-landing", c.LandingDomain(),
 			"data-ad", "1",
 			"data-pos", strconv.Itoa(pos+1),
@@ -362,25 +370,24 @@ func (e *Engine) renderAds(query, client string) *netsim.Element {
 // the platform click server, and the campaign's ad-tech stack.
 // DirectFromEngine campaigns skip the platform click server entirely
 // (the "qwant.com - destination" and "startpage.com - google.com -
-// destination" paths of Table 2).
-func (e *Engine) buildHref(click *adtech.AdClick) *url.URL {
-	var hops []string
-	hops = append(hops, e.Spec.UpstreamHops...)
+// destination" paths of Table 2). The chain is built from the landing
+// URL outward.
+func (e *Engine) buildHref(click *adtech.AdClick) string {
+	chain := adtech.NewChain(click.FinalLanding)
+	chain.WrapHops(click.Campaign.Stack)
 	if !click.Campaign.DirectFromEngine {
-		hops = append(hops, e.Platform.ClickHost)
+		chain.Wrap(e.Platform.ClickHost, adtech.HopPath(e.Platform.ClickHost))
 	}
-	hops = append(hops, click.Campaign.Stack...)
-	target := adtech.BuildChain(hops, click.FinalLanding)
-	if !e.Spec.WrapOwnAds || e.Spec.BouncePath == "" {
-		return target
+	chain.WrapHops(e.Spec.UpstreamHops)
+	if e.Spec.WrapOwnAds && e.Spec.BouncePath != "" {
+		host := e.Spec.BounceHost
+		if host == "" {
+			host = e.Spec.Host
+		}
+		// The engine's own bounce endpoint wraps the chain; its path
+		// comes from the Spec, so custom engines work without a
+		// hopPaths entry.
+		chain.Wrap(host, e.Spec.BouncePath)
 	}
-	host := e.Spec.BounceHost
-	if host == "" {
-		host = e.Spec.Host
-	}
-	// The engine's own bounce endpoint wraps the chain; its path comes
-	// from the Spec, so custom engines work without a hopPaths entry.
-	u := &url.URL{Scheme: "https", Host: host, Path: e.Spec.BouncePath}
-	u.RawQuery = urlx.EncodeQuery(adtech.NextParam, target.String())
-	return u
+	return chain.Finish()
 }

@@ -132,7 +132,11 @@ func QwantSpec() Spec {
 // Values.Encode rendering.
 func beaconURL(host, path string, pairs ...string) string {
 	var b strings.Builder
-	b.Grow(len("https://") + len(host) + len(path) + 64)
+	n := len("https://") + len(host) + len(path)
+	for i := 0; i+1 < len(pairs); i += 2 {
+		n += 1 + urlx.QueryLen(pairs[i], pairs[i+1])
+	}
+	b.Grow(n)
 	b.WriteString("https://")
 	b.WriteString(host)
 	b.WriteString(path)
@@ -153,7 +157,7 @@ func BingBeacons(e *Engine, query string, ad *adtech.AdClick, pos int) []netsim.
 	return []netsim.Beacon{{
 		Method: http.MethodPost,
 		URL: beaconURL(e.Spec.Host, "/fd/ls/GLinkPingPost.aspx",
-			"pos", itoa(pos), "q", query, "url", ad.FinalLanding.String()),
+			"pos", itoa(pos), "q", query, "url", ad.FinalLanding),
 		Type: netsim.TypePing,
 	}}
 }
@@ -176,7 +180,7 @@ func DuckDuckGoBeacons(e *Engine, query string, ad *adtech.AdClick, pos int) []n
 	return []netsim.Beacon{{
 		Method: http.MethodGet,
 		URL: beaconURL("improving.duckduckgo.com", "/t/ad_click",
-			"ad_provider", "bing", "du", ad.FinalLanding.String(), "q", query),
+			"ad_provider", "bing", "du", ad.FinalLanding, "q", query),
 		Type: netsim.TypePing,
 	}}
 }
@@ -202,7 +206,7 @@ func QwantBeacons(e *Engine, query string, ad *adtech.AdClick, pos int) []netsim
 		Method: http.MethodPost,
 		URL: beaconURL(e.Spec.Host, "/action/click_serp",
 			"device", "desktop", "locale", "en_US", "position", itoa(pos),
-			"q", query, "url", ad.FinalLanding.String()),
+			"q", query, "url", ad.FinalLanding),
 		Type: netsim.TypePing,
 	}}
 }

@@ -13,8 +13,9 @@
 package storage
 
 import (
+	"cmp"
 	"net/url"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -59,25 +60,28 @@ type StoredCookie struct {
 	Created      time.Time
 }
 
-// key identifies a cookie for replacement purposes (RFC 6265 §5.3 step 11:
-// same name, domain, path).
-type cookieKey struct {
-	partition string
-	domain    string
-	path      string
-	name      string
-}
-
 // Jar is a cookie store. The zero value is not usable; construct with
 // NewJar.
+//
+// Cookies are indexed by the registrable domain of their Domain: every
+// host a cookie matches shares that site, so a request only scans its
+// own site's bucket. A domain cookie whose Domain covers hosts of more
+// than one site (see urlx.DomainSite) is kept in wide instead, which
+// every request scans.
 type Jar struct {
-	mode    Mode
-	cookies map[cookieKey]*StoredCookie
+	mode  Mode
+	sites map[string][]*StoredCookie
+	wide  []*StoredCookie
+	n     int
+	// nextExpiry is no later than the earliest expiry of any stored
+	// cookie (zero when none expires): until the clock reaches it,
+	// nothing in the jar has expired and a purge would delete nothing.
+	nextExpiry time.Time
 }
 
 // NewJar returns an empty jar in the given mode.
 func NewJar(mode Mode) *Jar {
-	return &Jar{mode: mode, cookies: make(map[cookieKey]*StoredCookie)}
+	return &Jar{mode: mode, sites: make(map[string][]*StoredCookie)}
 }
 
 // Mode returns the jar's storage model.
@@ -91,6 +95,84 @@ func (j *Jar) partitionFor(firstParty string, chips bool) string {
 		return firstParty
 	}
 	return ""
+}
+
+// bucketOf returns the site whose bucket holds sc, and false when sc
+// belongs in the wide list instead.
+func bucketOf(sc *StoredCookie) (string, bool) {
+	if sc.HostOnly {
+		return urlx.RegistrableDomain(sc.Domain), true
+	}
+	return urlx.DomainSite(sc.Domain)
+}
+
+// sameKey reports whether a and b replace each other (RFC 6265 §5.3
+// step 11: same name, domain and path — here also same partition).
+func sameKey(a, b *StoredCookie) bool {
+	return a.Name == b.Name && a.Domain == b.Domain && a.Path == b.Path && a.PartitionKey == b.PartitionKey
+}
+
+// store replaces the cookie with sc's key, or adds sc; with del it
+// only removes that cookie.
+func (j *Jar) store(sc *StoredCookie, del bool) {
+	site, indexed := bucketOf(sc)
+	list := j.wide
+	if indexed {
+		list = j.sites[site]
+	}
+	i := slices.IndexFunc(list, func(c *StoredCookie) bool { return sameKey(c, sc) })
+	switch {
+	case del && i < 0:
+		return
+	case del:
+		list = slices.Delete(list, i, i+1)
+		j.n--
+	case i >= 0:
+		list[i] = sc
+	default:
+		list = append(list, sc)
+		j.n++
+	}
+	if !del && !sc.Expires.IsZero() && (j.nextExpiry.IsZero() || sc.Expires.Before(j.nextExpiry)) {
+		j.nextExpiry = sc.Expires
+	}
+	if indexed {
+		j.sites[site] = list
+	} else {
+		j.wide = list
+	}
+}
+
+// purge deletes every cookie expired at now once the clock has reached
+// the earliest stored expiry.
+func (j *Jar) purge(now time.Time) {
+	if j.nextExpiry.IsZero() || j.nextExpiry.After(now) {
+		return
+	}
+	j.nextExpiry = time.Time{}
+	keep := func(list []*StoredCookie) []*StoredCookie {
+		return slices.DeleteFunc(list, func(sc *StoredCookie) bool {
+			if sc.Expires.IsZero() {
+				return false
+			}
+			if !sc.Expires.After(now) {
+				j.n--
+				return true
+			}
+			if j.nextExpiry.IsZero() || sc.Expires.Before(j.nextExpiry) {
+				j.nextExpiry = sc.Expires
+			}
+			return false
+		})
+	}
+	for site, list := range j.sites {
+		if list = keep(list); len(list) == 0 {
+			delete(j.sites, site)
+		} else {
+			j.sites[site] = list
+		}
+	}
+	j.wide = keep(j.wide)
 }
 
 // SetCookies stores the response cookies under the rules of RFC 6265 plus
@@ -136,12 +218,8 @@ func (j *Jar) SetCookies(now time.Time, u *url.URL, firstParty string, cookies [
 			SameSite:     c.SameSite,
 			Created:      now,
 		}
-		k := cookieKey{sc.PartitionKey, sc.Domain, sc.Path, sc.Name}
-		if !sc.Expires.IsZero() && !sc.Expires.After(now) {
-			delete(j.cookies, k) // expired set = deletion
-			continue
-		}
-		j.cookies[k] = sc
+		// An already-expired set is a deletion.
+		j.store(sc, !sc.Expires.IsZero() && !sc.Expires.After(now))
 	}
 }
 
@@ -150,7 +228,7 @@ func domainMatch(host, domain string) bool {
 	if host == domain {
 		return true
 	}
-	return strings.HasSuffix(host, "."+domain)
+	return len(host) > len(domain) && strings.HasSuffix(host, domain) && host[len(host)-len(domain)-1] == '.'
 }
 
 // pathMatch implements RFC 6265 §5.1.4 (simplified to prefix semantics).
@@ -170,62 +248,69 @@ func pathMatch(requestPath, cookiePath string) bool {
 // Cookies returns the cookies the browser would attach to a request for
 // requestURL made in a tab whose top-level site is firstParty.
 // topLevelNav marks top-level navigations, which (like real browsers)
-// still send SameSite=Lax cookies cross-site.
+// still send SameSite=Lax cookies cross-site. Each call first deletes
+// every expired cookie from the jar.
 func (j *Jar) Cookies(now time.Time, u *url.URL, firstParty string, topLevelNav bool) []*netsim.Cookie {
-	if u == nil || len(j.cookies) == 0 {
+	if u == nil || j.n == 0 {
 		return nil
 	}
+	j.purge(now)
 	host := strings.ToLower(urlx.Hostname(u.Host))
 	requestSite := urlx.RegistrableDomain(host)
 	crossSite := firstParty != "" && requestSite != firstParty
 
-	var matched []*StoredCookie
-	for k, sc := range j.cookies {
-		if !sc.Expires.IsZero() && !sc.Expires.After(now) {
-			delete(j.cookies, k)
-			continue
-		}
-		if sc.PartitionKey != "" && sc.PartitionKey != firstParty {
-			continue
-		}
-		if sc.HostOnly {
-			if sc.Domain != host {
+	var buf [16]*StoredCookie
+	matched := buf[:0]
+	for _, list := range [2][]*StoredCookie{j.sites[requestSite], j.wide} {
+		for _, sc := range list {
+			if sc.PartitionKey != "" && sc.PartitionKey != firstParty {
 				continue
 			}
-		} else if !domainMatch(host, sc.Domain) {
-			continue
-		}
-		if !pathMatch(u.Path, sc.Path) {
-			continue
-		}
-		if sc.Secure && u.Scheme != "https" {
-			continue
-		}
-		if crossSite && !topLevelNav {
-			// Subresource cross-site: only SameSite=None travels.
-			if sc.SameSite != netsim.SameSiteNone {
+			if sc.HostOnly {
+				if sc.Domain != host {
+					continue
+				}
+			} else if !domainMatch(host, sc.Domain) {
 				continue
 			}
+			if !pathMatch(u.Path, sc.Path) {
+				continue
+			}
+			if sc.Secure && u.Scheme != "https" {
+				continue
+			}
+			if crossSite && !topLevelNav {
+				// Subresource cross-site: only SameSite=None travels.
+				if sc.SameSite != netsim.SameSiteNone {
+					continue
+				}
+			}
+			if crossSite && topLevelNav && sc.SameSite == netsim.SameSiteStrict {
+				continue
+			}
+			matched = append(matched, sc)
 		}
-		if crossSite && topLevelNav && sc.SameSite == netsim.SameSiteStrict {
-			continue
-		}
-		matched = append(matched, sc)
 	}
 	if len(matched) == 0 {
 		return nil
 	}
-	// Stable order: longer paths first, then by creation, then name — the
-	// RFC 6265 serialisation order (made fully deterministic by the name
-	// tiebreak).
-	sort.Slice(matched, func(a, b int) bool {
-		if len(matched[a].Path) != len(matched[b].Path) {
-			return len(matched[a].Path) > len(matched[b].Path)
+	// RFC 6265 serialisation order: longer paths first, then by
+	// creation; name, domain and partition break the remaining ties, so
+	// the order is total (two matching cookies with equal path lengths
+	// have equal paths, and name, domain, path and partition identify a
+	// cookie).
+	slices.SortFunc(matched, func(a, b *StoredCookie) int {
+		if c := cmp.Compare(len(b.Path), len(a.Path)); c != 0 {
+			return c
 		}
-		if !matched[a].Created.Equal(matched[b].Created) {
-			return matched[a].Created.Before(matched[b].Created)
+		if c := a.Created.Compare(b.Created); c != 0 {
+			return c
 		}
-		return matched[a].Name < matched[b].Name
+		return cmp.Or(
+			strings.Compare(a.Name, b.Name),
+			strings.Compare(a.Domain, b.Domain),
+			strings.Compare(a.PartitionKey, b.PartitionKey),
+		)
 	})
 	// One backing array for the result cookies instead of one heap
 	// object per cookie: this runs for every request the browser sends.
@@ -238,54 +323,63 @@ func (j *Jar) Cookies(now time.Time, u *url.URL, firstParty string, topLevelNav 
 	return out
 }
 
+// each calls fn for every stored cookie, in no particular order.
+func (j *Jar) each(fn func(*StoredCookie)) {
+	for _, list := range j.sites {
+		for _, sc := range list {
+			fn(sc)
+		}
+	}
+	for _, sc := range j.wide {
+		fn(sc)
+	}
+}
+
 // All returns every stored, unexpired cookie, sorted deterministically.
 // The analysis pipeline consumes this dump ("The system records all
 // first-party and third-party cookies ... at each step", §3.1).
 func (j *Jar) All(now time.Time) []StoredCookie {
-	out := make([]StoredCookie, 0, len(j.cookies))
-	for _, sc := range j.cookies {
-		if !sc.Expires.IsZero() && !sc.Expires.After(now) {
-			continue
+	out := make([]StoredCookie, 0, j.n)
+	j.each(func(sc *StoredCookie) {
+		if sc.Expires.IsZero() || sc.Expires.After(now) {
+			out = append(out, *sc)
 		}
-		out = append(out, *sc)
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].PartitionKey != out[b].PartitionKey {
-			return out[a].PartitionKey < out[b].PartitionKey
-		}
-		if out[a].Domain != out[b].Domain {
-			return out[a].Domain < out[b].Domain
-		}
-		return out[a].Name < out[b].Name
+	})
+	slices.SortFunc(out, func(a, b StoredCookie) int {
+		return cmp.Or(
+			strings.Compare(a.PartitionKey, b.PartitionKey),
+			strings.Compare(a.Domain, b.Domain),
+			strings.Compare(a.Name, b.Name),
+			strings.Compare(a.Path, b.Path),
+		)
 	})
 	return out
 }
 
 // Get returns the value of the first cookie with the given domain and
-// name in any partition, for tests and server-side assertions.
+// name in any partition (partitions in order, then paths), for tests
+// and server-side assertions. It does not check expiry.
 func (j *Jar) Get(domain, name string) (string, bool) {
-	var keys []cookieKey
-	for k := range j.cookies {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].partition != keys[b].partition {
-			return keys[a].partition < keys[b].partition
+	var found *StoredCookie
+	j.each(func(sc *StoredCookie) {
+		if sc.Domain != domain || sc.Name != name {
+			return
 		}
-		return keys[a].domain < keys[b].domain
+		if found == nil || sc.PartitionKey < found.PartitionKey ||
+			sc.PartitionKey == found.PartitionKey && sc.Path < found.Path {
+			found = sc
+		}
 	})
-	for _, k := range keys {
-		if k.domain == domain && k.name == name {
-			return j.cookies[k].Value, true
-		}
+	if found == nil {
+		return "", false
 	}
-	return "", false
+	return found.Value, true
 }
 
 // Len reports the number of stored cookies (including expired ones not
 // yet purged).
-func (j *Jar) Len() int { return len(j.cookies) }
+func (j *Jar) Len() int { return j.n }
 
 // Clear empties the jar (a fresh browser instance, §3.1: "We run each
 // iteration in a new browser instance").
-func (j *Jar) Clear() { j.cookies = make(map[cookieKey]*StoredCookie) }
+func (j *Jar) Clear() { *j = *NewJar(j.mode) }

@@ -13,7 +13,6 @@ import (
 	"container/list"
 	"fmt"
 	"net/url"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -109,6 +108,29 @@ func RegistrableDomain(host string) string {
 	site := registrableDomain(host)
 	rdMemo.put(host, site)
 	return site
+}
+
+// DomainSite returns the registrable domain of a cookie domain and
+// whether every host the domain covers (itself and its subdomains)
+// has that same registrable domain. It does for any domain at or
+// below a registrable domain. It does not for an IP literal or the
+// tail of one ("0.0.1" covers "10.0.0.1"), a single label, or a domain
+// that a listed public suffix extends ("uk" under "co.uk"): the
+// embedded suffix list is a subset, so a cookie Domain
+// attribute naming one of those is not refused as a public suffix,
+// yet the hosts it covers span many sites.
+func DomainSite(domain string) (site string, bounded bool) {
+	site = RegistrableDomain(domain)
+	d := strings.ToLower(Hostname(domain))
+	if isIPLiteral(d) || isIPLiteral("0."+d) || strings.IndexByte(site, '.') < 0 {
+		return site, false
+	}
+	for suffix := range publicSuffixes {
+		if suffix == d || len(suffix) > len(d) && strings.HasSuffix(suffix, d) && suffix[len(suffix)-len(d)-1] == '.' {
+			return site, false
+		}
+	}
+	return site, true
 }
 
 func registrableDomain(host string) string {
@@ -207,49 +229,34 @@ func MustParse(raw string) *url.URL {
 	return u
 }
 
-// WithParam returns a copy of u with the query parameter key set to value.
-// The original URL is not modified. When the key is not already present
-// the pair is appended to the raw query without re-encoding it (the
-// request hot path decorates URLs with fresh tracking parameters far more
-// often than it overwrites existing ones).
+// WithParam returns a copy of u with the query parameter key set to value
+// (see SetParam). The original URL is not modified.
 func WithParam(u *url.URL, key, value string) *url.URL {
 	cp := *u
-	if _, present := Param(u, key); !present {
-		var b strings.Builder
-		b.Grow(len(cp.RawQuery) + 1 + len(key) + 1 + len(value))
-		b.WriteString(cp.RawQuery)
-		if cp.RawQuery != "" {
-			b.WriteByte('&')
-		}
-		appendQueryEscape(&b, key)
-		b.WriteByte('=')
-		appendQueryEscape(&b, value)
-		cp.RawQuery = b.String()
-		return &cp
-	}
-	q := cp.Query()
-	q.Set(key, value)
-	cp.RawQuery = q.Encode()
+	cp.RawQuery = SetParam(cp.RawQuery, key, value)
 	return &cp
 }
 
-// WithParams returns a copy of u with every key/value pair of params set
-// (in sorted key order, so the result is deterministic).
-func WithParams(u *url.URL, params map[string]string) *url.URL {
-	keys := make([]string, 0, len(params))
-	for k := range params {
-		keys = append(keys, k)
+// SetParam returns rawQuery with the parameter key set to value. When
+// the key is not already present the pair is appended without
+// re-encoding the rest (the request hot path decorates URLs with fresh
+// tracking parameters far more often than it overwrites existing
+// ones); otherwise the query is parsed, the key set, and the whole
+// query re-encoded in sorted key order, as url.Values does.
+func SetParam(rawQuery, key, value string) string {
+	if _, present := Param(&url.URL{RawQuery: rawQuery}, key); present {
+		q, _ := url.ParseQuery(rawQuery)
+		q.Set(key, value)
+		return q.Encode()
 	}
-	sort.Strings(keys)
-	cp := u
-	for _, k := range keys {
-		cp = WithParam(cp, k, params[k])
+	var b strings.Builder
+	b.Grow(len(rawQuery) + 1 + QueryLen(key, value))
+	b.WriteString(rawQuery)
+	if rawQuery != "" {
+		b.WriteByte('&')
 	}
-	if cp == u { // empty params: still return a copy, as before
-		c := *u
-		cp = &c
-	}
-	return cp
+	AppendQuery(&b, key, value)
+	return b.String()
 }
 
 // Param returns the first value of the named query parameter and whether
@@ -333,24 +340,49 @@ func appendQueryEscape(b *strings.Builder, s string) {
 	}
 }
 
+// AppendQueryEscape appends url.QueryEscape(s) to dst. It takes bytes
+// as well as strings so that a URL built in one buffer can be escaped
+// into the next without becoming a string in between (redirect chains
+// nest a whole URL into a query value at every hop).
+func AppendQueryEscape[S ~string | ~[]byte](dst []byte, s S) []byte {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case queryByteSafe(c):
+			dst = append(dst, c)
+		case c == ' ':
+			dst = append(dst, '+')
+		default:
+			dst = append(dst, '%', upperhex[c>>4], upperhex[c&0xf])
+		}
+	}
+	return dst
+}
+
+// QueryLen returns the length of the escaped "key=value" pair
+// AppendQuery writes, for sizing a builder once.
+func QueryLen(key, value string) int {
+	return escapedLen(key) + 1 + escapedLen(value)
+}
+
+func escapedLen(s string) int {
+	n := len(s)
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; !queryByteSafe(c) && c != ' ' {
+			n += 2
+		}
+	}
+	return n
+}
+
 // AppendQuery writes "key=value" (query-escaped) into b; it is the
 // zero-intermediate-allocation building block the hot URL constructors
-// (engine search URLs, redirect chains) use instead of url.Values.Encode.
+// (engine search URLs, beacons, decorated landing URLs) use instead of
+// url.Values.Encode.
 func AppendQuery(b *strings.Builder, key, value string) {
 	appendQueryEscape(b, key)
 	b.WriteByte('=')
 	appendQueryEscape(b, value)
-}
-
-// EncodeQuery returns the single escaped "key=value" pair, grown once
-// for the worst-case escaping expansion. Redirect-chain construction
-// wraps a full URL as one query pair at every nesting level, so this is
-// the shared spelling for that hot path.
-func EncodeQuery(key, value string) string {
-	var b strings.Builder
-	b.Grow(len(key) + 1 + 3*len(value))
-	AppendQuery(&b, key, value)
-	return b.String()
 }
 
 // QueryPairs iterates a raw query string's key=value pairs in order,
@@ -471,6 +503,14 @@ func SplitURL(raw string) (host, path, query string, ok bool) {
 		}
 		query = raw[queryStart:i]
 	}
+	if strings.IndexByte(raw[i:], '%') >= 0 {
+		return "", "", "", false // url.Parse decodes the fragment
+	}
+	for i := pathStart; i < len(raw); i++ {
+		if raw[i] < 0x20 || raw[i] == 0x7f {
+			return "", "", "", false // url.Parse rejects control bytes
+		}
+	}
 	return host, path, query, true
 }
 
@@ -480,17 +520,6 @@ func isSchemeAlpha(b byte) bool {
 
 func isSchemeTail(b byte) bool {
 	return isSchemeAlpha(b) || b >= '0' && b <= '9' || b == '+' || b == '-' || b == '.'
-}
-
-// CopyURL deep-copies a URL (including User info, which the simulator never
-// uses but which keeps the helper general).
-func CopyURL(u *url.URL) *url.URL {
-	cp := *u
-	if u.User != nil {
-		user := *u.User
-		cp.User = &user
-	}
-	return &cp
 }
 
 // IsHTTP reports whether the URL uses an http(s) scheme.

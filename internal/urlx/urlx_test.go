@@ -88,11 +88,23 @@ func TestWithParamDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestWithParams(t *testing.T) {
-	u := MustParse("https://x.com/")
-	v := WithParams(u, map[string]string{"b": "2", "a": "1"})
-	if v.RawQuery != "a=1&b=2" {
-		t.Fatalf("RawQuery = %q", v.RawQuery)
+// TestSetParam: fresh keys append in call order, escaped, without
+// touching the existing pairs; an existing key is replaced and the
+// whole query re-encoded in sorted key order, as url.Values does.
+func TestSetParam(t *testing.T) {
+	q := SetParam("", "b", "2")
+	q = SetParam(q, "a", "1 +")
+	if q != "b=2&a=1+%2B" {
+		t.Fatalf("appended query = %q", q)
+	}
+	if got := SetParam("z=9&x=%zz&b=1&b=2", "b", "3"); got != "b=3&z=9" {
+		t.Fatalf("replaced query = %q", got)
+	}
+	for _, raw := range []string{"", "a=1", "k=old", "a=1&k=old&k=x", "k", "a=%zz"} {
+		u := &url.URL{RawQuery: raw}
+		if got, want := SetParam(raw, "k", "v w"), WithParam(u, "k", "v w").RawQuery; got != want {
+			t.Errorf("SetParam(%q) = %q, WithParam gives %q", raw, got, want)
+		}
 	}
 }
 
@@ -124,16 +136,6 @@ func TestMustParsePanics(t *testing.T) {
 		}
 	}()
 	MustParse("http://%zz")
-}
-
-func TestCopyURL(t *testing.T) {
-	u := MustParse("https://u:p@host.com/a?b=c")
-	cp := CopyURL(u)
-	cp.Host = "other.com"
-	cp.User = url.User("x")
-	if u.Host != "host.com" || u.User.String() != "u:p" {
-		t.Fatal("CopyURL did not isolate the copy")
-	}
 }
 
 func TestIsHTTP(t *testing.T) {

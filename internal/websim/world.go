@@ -167,6 +167,7 @@ func NewWorld(cfg Config) *World {
 	// realised pool fractions to the calibration for every seed, leaving
 	// only the (intended) crawl-level variance of which ads get clicked.
 	usedDomains := make(map[string]bool)
+	byEntity := builtinsByEntity(builtins)
 	var allSites []*advertiser.Site
 	pools := make(map[string]*adtech.Pool)
 	products := workload.Products()
@@ -199,6 +200,9 @@ func NewWorld(cfg Config) *World {
 			autoTag[nonDirect[i]] = on
 		}
 
+		trackers := newTrackerSampler(cal, byEntity, trackerPools[name])
+		persistParams := sortedKeys(cal.PersistClickIDProb)
+
 		pool := &adtech.Pool{}
 		for i := 0; i < n; i++ {
 			domain := mintDomain(r, usedDomains)
@@ -207,9 +211,9 @@ func NewWorld(cfg Config) *World {
 				LandingPath: "/landing",
 			}
 			if !clean[i] {
-				site.Trackers = sampleTrackers(r, cal, builtins, trackerPools[name])
+				site.Trackers = trackers.sample(r)
 			}
-			for _, param := range sortedKeys(cal.PersistClickIDProb) {
+			for _, param := range persistParams {
 				if persist[param][i] {
 					site.PersistParams = append(site.PersistParams, param)
 				}
@@ -368,28 +372,41 @@ func quotaBools(r *detrand.Gen, p float64, n int) []bool {
 	return out
 }
 
-// sampleTrackers picks a non-clean site's tracker set:
-// TrackersPerSiteMin..Max services drawn by entity weight (Table 5) from
-// the builtin and long-tail pools. (Clean sites are assigned by quota in
-// NewWorld before this runs.)
-func sampleTrackers(r randSource, cal EngineCalibration, builtins, unknowns []*advertiser.Tracker) []*advertiser.Tracker {
-	byEntity := builtinsByEntity(builtins)
-	entities := sortedKeys(cal.TrackerEntityWeights)
-	weights := make([]float64, len(entities))
-	for i, e := range entities {
-		weights[i] = cal.TrackerEntityWeights[e]
+// trackerSampler draws one engine's non-clean sites' tracker sets.
+type trackerSampler struct {
+	cal      EngineCalibration
+	byEntity map[string][]*advertiser.Tracker // builtins, by entity
+	unknowns []*advertiser.Tracker            // the long-tail pool
+	entities []string                         // sorted entity names
+	weights  []float64                        // weights[i] weighs entities[i]
+}
+
+func newTrackerSampler(cal EngineCalibration, byEntity map[string][]*advertiser.Tracker, unknowns []*advertiser.Tracker) *trackerSampler {
+	s := &trackerSampler{cal: cal, byEntity: byEntity, unknowns: unknowns,
+		entities: sortedKeys(cal.TrackerEntityWeights)}
+	s.weights = make([]float64, len(s.entities))
+	for i, e := range s.entities {
+		s.weights[i] = cal.TrackerEntityWeights[e]
 	}
-	span := cal.TrackersPerSiteMax - cal.TrackersPerSiteMin + 1
-	n := cal.TrackersPerSiteMin + r.Intn(span)
+	return s
+}
+
+// sample picks a non-clean site's tracker set: TrackersPerSiteMin..Max
+// services drawn by entity weight (Table 5) from the builtin and
+// long-tail pools. (Clean sites are assigned by quota in NewWorld
+// before this runs.)
+func (s *trackerSampler) sample(r randSource) []*advertiser.Tracker {
+	span := s.cal.TrackersPerSiteMax - s.cal.TrackersPerSiteMin + 1
+	n := s.cal.TrackersPerSiteMin + r.Intn(span)
 	picked := make(map[string]bool, n)
 	var out []*advertiser.Tracker
 	for len(out) < n {
-		entity := entities[detrand.Pick(r, weights)]
+		entity := s.entities[detrand.Pick(r, s.weights)]
 		var candidates []*advertiser.Tracker
 		if entity == "unknown" {
-			candidates = unknowns
+			candidates = s.unknowns
 		} else {
-			candidates = byEntity[entity]
+			candidates = s.byEntity[entity]
 		}
 		if len(candidates) == 0 {
 			continue
