@@ -249,10 +249,8 @@ func HopPath(host string) string {
 // Chain composes a nested bounce URL from the innermost target
 // outward: each Wrap makes the URL built so far the NextParam of one
 // more hop. Two buffers alternate between nesting levels, and chains
-// are pooled, so a chain of any depth costs one string, made by Finish.
-// Chains are rebuilt for all four ads of every SERP render, and the
-// nested payload grows with every hop, so this is the allocation that
-// matters.
+// are pooled, so a chain of any depth costs one string, made by Finish
+// (every SERP render builds one per ad).
 type Chain struct {
 	target    string
 	cur, next []byte
@@ -308,7 +306,8 @@ func (c *Chain) Finish() string {
 // BuildChain composes the nested bounce URL for a redirect chain: the
 // returned URL enters hops[0]; each hop's NextParam carries the following
 // hop; the innermost target is the landing URL. An empty hops slice
-// returns the landing URL itself.
+// returns the landing URL itself. It is the Chain for a plain hop list;
+// engines that wrap their own bounce endpoint around it use Chain.
 func BuildChain(hops []string, landing string) string {
 	c := NewChain(landing)
 	c.WrapHops(hops)

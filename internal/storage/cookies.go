@@ -112,9 +112,9 @@ func sameKey(a, b *StoredCookie) bool {
 	return a.Name == b.Name && a.Domain == b.Domain && a.Path == b.Path && a.PartitionKey == b.PartitionKey
 }
 
-// store replaces the cookie with sc's key, or adds sc; with del it
-// only removes that cookie.
-func (j *Jar) store(sc *StoredCookie, del bool) {
+// store replaces the cookie with sc's key, or adds sc; an expired sc
+// only deletes that cookie (RFC 6265 §5.3 step 11).
+func (j *Jar) store(sc *StoredCookie, expired bool) {
 	site, indexed := bucketOf(sc)
 	list := j.wide
 	if indexed {
@@ -122,9 +122,9 @@ func (j *Jar) store(sc *StoredCookie, del bool) {
 	}
 	i := slices.IndexFunc(list, func(c *StoredCookie) bool { return sameKey(c, sc) })
 	switch {
-	case del && i < 0:
+	case expired && i < 0:
 		return
-	case del:
+	case expired:
 		list = slices.Delete(list, i, i+1)
 		j.n--
 	case i >= 0:
@@ -133,7 +133,7 @@ func (j *Jar) store(sc *StoredCookie, del bool) {
 		list = append(list, sc)
 		j.n++
 	}
-	if !del && !sc.Expires.IsZero() && (j.nextExpiry.IsZero() || sc.Expires.Before(j.nextExpiry)) {
+	if !expired && !sc.Expires.IsZero() && (j.nextExpiry.IsZero() || sc.Expires.Before(j.nextExpiry)) {
 		j.nextExpiry = sc.Expires
 	}
 	if indexed {
@@ -218,7 +218,6 @@ func (j *Jar) SetCookies(now time.Time, u *url.URL, firstParty string, cookies [
 			SameSite:     c.SameSite,
 			Created:      now,
 		}
-		// An already-expired set is a deletion.
 		j.store(sc, !sc.Expires.IsZero() && !sc.Expires.After(now))
 	}
 }
