@@ -212,7 +212,7 @@ func (s *trackerScript) Run(env netsim.ScriptEnv) {
 	t := (*servedTracker)(s)
 	if t.SetsFirstPartyCookie {
 		name := t.FirstPartyCookieName
-		if _, exists := findCookie(env.DocumentCookies(), name); !exists {
+		if _, exists := env.DocumentCookie(name); !exists {
 			env.SetDocumentCookie(netsim.NewCookie(name, t.reg.mint(t.fpLabel, env.Client())))
 		}
 	}
@@ -240,13 +240,4 @@ func (s *trackerScript) Run(env netsim.ScriptEnv) {
 	}
 	pixel := &url.URL{Scheme: "https", Host: t.Host, Path: t.PixelPath, RawQuery: q.String()}
 	env.Fetch(http.MethodGet, pixel, netsim.TypeImage, "")
-}
-
-func findCookie(cs []*netsim.Cookie, name string) (*netsim.Cookie, bool) {
-	for _, c := range cs {
-		if c.Name == name {
-			return c, true
-		}
-	}
-	return nil, false
 }

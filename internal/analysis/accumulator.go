@@ -43,9 +43,12 @@ import (
 // iterations arrive. Accumulators over disjoint shards of a stream
 // combine with Merge.
 type Accumulator struct {
-	filter  *filterlist.Engine
-	ents    *entities.List
-	tab     *intern.Table
+	filter *filterlist.Engine
+	ents   *entities.List
+	tab    *intern.Table
+	// groups interns value-id sets (see groupID), apart from tab so
+	// the token table holds strings only.
+	groups  *intern.Table
 	tokens  *tokens.Accumulator
 	order   []string
 	engines map[string]*engineAcc
@@ -68,7 +71,10 @@ type Accumulator struct {
 	hopScratch  []hopHost
 	siteScratch []string
 	hostStrs    []string
-	storedVals  map[[2]uint32]uint32
+	// unescScratch receives decoded query keys and values (walkParams,
+	// unescape).
+	unescScratch []byte
+	storedVals   map[[2]uint32]uint32
 	// originSites memoises localStorage origin → registrable site; the
 	// few distinct origins recur every iteration.
 	originSites map[string]string
@@ -96,6 +102,7 @@ func NewAccumulator(opts Options) *Accumulator {
 		filter:      opts.Filter,
 		ents:        opts.Entities,
 		tab:         tab,
+		groups:      intern.New(),
 		tokens:      tokens.NewAccumulatorTable(tab),
 		engines:     make(map[string]*engineAcc),
 		srcCookie:   tab.ID(string(tokens.SourceCookie)),
@@ -222,7 +229,7 @@ type engineAcc struct {
 	msclkid, gclid           int
 	otherEager, anyEager     int
 	otherDeferred            []deferredOther
-	referrerCands            map[string]*idGroup
+	referrerCands            map[uint32]int
 	persistedMS, persistedGC int
 
 	// §3.1 recorder coverage.
@@ -243,29 +250,20 @@ type engineAcc struct {
 
 // beaconAcc folds one post-click endpoint (§4.2.1). The UID-cookie
 // count is classifier-dependent, so each request's cookie-value id set
-// is retained, grouped by identical set (UID cookies repeat across
-// requests, so distinct sets stay few).
+// is retained as a group (see groupID) with its number of requests (UID
+// cookies repeat across requests, so distinct sets stay few).
 type beaconAcc struct {
 	s         BeaconSummary
-	valueSets map[string]*idGroup
+	valueSets map[uint32]int
 }
 
-// deferredOther is one click's §4.3.2 other-UID candidates: value ids
-// that only count if the classifier calls them user identifiers.
-// countedAny records whether the click already counted toward the "any"
-// column.
+// deferredOther is one click's §4.3.2 other-UID candidates: a group
+// (see groupID) of value ids that only count if the classifier calls
+// one of them a user identifier. countedAny records whether the click
+// already counted toward the "any" column.
 type deferredOther struct {
 	countedAny bool
-	values     []uint32
-}
-
-// idGroup is a distinct multiset of token-value ids with the number of
-// times (requests, clicks) it was observed. The grouping key is the
-// sorted ids packed little-endian, so retained state scales with
-// distinct sets rather than sightings.
-type idGroup struct {
-	values []uint32
-	count  int
+	group      uint32
 }
 
 func newEngineAcc(site string, firstSeen int) *engineAcc {
@@ -281,7 +279,7 @@ func newEngineAcc(site string, firstSeen int) *engineAcc {
 		beacons:               make(map[uint32]*beaconAcc),
 		distinctTrackers:      make(map[uint32]struct{}),
 		entityCounts:          make(map[uint32]int),
-		referrerCands:         make(map[string]*idGroup),
+		referrerCands:         make(map[uint32]int),
 		ratioHist:             make(map[float64]int),
 		failures:              make(map[string]int),
 		outcomes:              make(map[string]int),
@@ -334,32 +332,86 @@ func (a *Accumulator) observeStorage(s *crawler.StorageRecord, instID uint32, re
 
 // walkParams observes every query parameter of a URL, recursing into
 // nested next-hop URLs so parameters at every chain depth are observed.
-// The URL is split once; the query string is scanned in place.
+// The URL is split once and the query string scanned in place. Escaped
+// keys and values are decoded into a reused buffer and interned from
+// it, so only a string's first sighting allocates; a nested URL is
+// walked through its interned copy.
 func (a *Accumulator) walkParams(raw string, instID uint32, adIndex int) {
 	seen := 0
-	var walk func(raw string)
-	walk = func(raw string) {
-		seen++
-		if raw == "" || seen > 12 {
-			return
-		}
-		host, rawq, ok := splitHostQuery(raw)
-		if !ok {
-			return
-		}
-		hostID := a.tab.ID(host)
-		urlx.QueryPairs(rawq, func(k, v string) bool {
-			if v != "" {
-				a.tokens.ObserveIDs(a.tab.ID(k), a.tab.ID(v), hostID,
-					instID, a.srcQuery, adIndex, false)
-			}
-			if k == adtech.NextParam {
-				walk(v)
-			}
-			return true
-		})
+	a.walkQuery(raw, instID, adIndex, &seen)
+}
+
+// walkQuery is walkParams' recursion: seen counts the URLs visited, at
+// most 12 per top-level URL.
+func (a *Accumulator) walkQuery(raw string, instID uint32, adIndex int, seen *int) {
+	*seen++
+	if raw == "" || *seen > 12 {
+		return
 	}
-	walk(raw)
+	host, rawq, ok := splitHostQuery(raw)
+	if !ok {
+		return
+	}
+	hostID := a.tab.ID(host)
+	urlx.RawQueryPairs(rawq, func(k, v string) bool {
+		b, err := urlx.AppendQueryUnescape(a.unescScratch[:0], k)
+		if err != nil {
+			return true
+		}
+		kn := len(b)
+		b, err = urlx.AppendQueryUnescape(b, v)
+		a.unescScratch = b
+		if err != nil {
+			return true
+		}
+		next := ""
+		if len(b) > kn {
+			kid := a.tab.IDBytes(b[:kn])
+			vid := a.tab.IDBytes(b[kn:])
+			a.tokens.ObserveIDs(kid, vid, hostID, instID, a.srcQuery, adIndex, false)
+			next = a.tab.Str(vid)
+		}
+		if string(b[:kn]) == adtech.NextParam {
+			a.walkQuery(next, instID, adIndex, seen)
+		}
+		return true
+	})
+}
+
+// queryPairs is urlx.QueryPairs decoding through the fold's scratch
+// buffer: an escaped key or value whose decoded form the intern table
+// holds already is passed as the interned string rather than a fresh
+// copy. That covers every non-empty parameter of the destination and
+// referrer URLs, which walkParams observed before firstParams reads
+// them. Nothing is interned.
+func (a *Accumulator) queryPairs(rawq string, fn func(key, value string) bool) {
+	urlx.RawQueryPairs(rawq, func(k, v string) bool {
+		k, ok := a.unescape(k)
+		if !ok {
+			return true
+		}
+		if v, ok = a.unescape(v); !ok {
+			return true
+		}
+		return fn(k, v)
+	})
+}
+
+// unescape returns url.QueryUnescape(raw) and whether it succeeded,
+// allocating only for an escaped string the intern table lacks.
+func (a *Accumulator) unescape(raw string) (string, bool) {
+	if !strings.ContainsAny(raw, "%+") {
+		return raw, true
+	}
+	b, err := urlx.AppendQueryUnescape(a.unescScratch[:0], raw)
+	a.unescScratch = b
+	if err != nil {
+		return "", false
+	}
+	if id := a.tab.LookupBytes(b); id != intern.None {
+		return a.tab.Str(id), true
+	}
+	return string(b), true
 }
 
 // splitHostQuery returns a URL's host and raw query, via the
@@ -562,13 +614,13 @@ func (a *Accumulator) addBeacons(e *engineAcc, it *crawler.Iteration) {
 		kid := a.tab.IDBytes(key)
 		b := e.beacons[kid]
 		if b == nil {
-			b = &beaconAcc{s: BeaconSummary{Endpoint: a.tab.Str(kid)}, valueSets: make(map[string]*idGroup)}
+			b = &beaconAcc{s: BeaconSummary{Endpoint: a.tab.Str(kid)}, valueSets: make(map[uint32]int)}
 			e.beacons[kid] = b
 		}
 		b.s.Count++
 		// First occurrence per key, matching url.Values.Get.
 		var sawURL, sawDU, sawQ, sawPos, sawPosition bool
-		urlx.QueryPairs(rawq, func(k, v string) bool {
+		a.queryPairs(rawq, func(k, v string) bool {
 			switch k {
 			case "url":
 				if !sawURL {
@@ -611,9 +663,9 @@ func (a *Accumulator) addBeacons(e *engineAcc, it *crawler.Iteration) {
 		if len(req.Cookies) > 0 {
 			a.valScratch = a.valScratch[:0]
 			for _, v := range req.Cookies {
-				a.valScratch = append(a.valScratch, a.tab.ID(v)) //lint:allow maporder groupIDs sorts the scratch ids before keying, so map order cannot escape
+				a.valScratch = append(a.valScratch, a.tab.ID(v)) //lint:allow maporder groupID sorts the scratch ids before keying, so map order cannot escape
 			}
-			a.groupIDs(b.valueSets, a.valScratch, 1)
+			b.valueSets[a.groupID(a.valScratch)]++
 		}
 	}
 }
@@ -697,7 +749,7 @@ func (a *Accumulator) addAfter(e *engineAcc, it *crawler.Iteration, p Path, dest
 	if !eagerOther && len(a.valScratch) > 0 {
 		e.otherDeferred = append(e.otherDeferred, deferredOther{
 			countedAny: hasMS || hasGC,
-			values:     append([]uint32(nil), a.valScratch...),
+			group:      a.groupID(a.valScratch),
 		})
 	}
 
@@ -710,7 +762,7 @@ func (a *Accumulator) addAfter(e *engineAcc, it *crawler.Iteration, p Path, dest
 		}
 	}
 	if len(a.valScratch) > 0 {
-		a.groupIDs(e.referrerCands, a.valScratch, 1)
+		e.referrerCands[a.groupID(a.valScratch)]++
 	}
 
 	// Persistence: the click-ID value reappears in the destination's
@@ -735,7 +787,7 @@ func (a *Accumulator) firstParams(raw string) []kvPair {
 	if !ok {
 		return a.kvScratch
 	}
-	urlx.QueryPairs(rawq, func(k, v string) bool {
+	a.queryPairs(rawq, func(k, v string) bool {
 		for _, pr := range a.kvScratch {
 			if pr.k == k {
 				return true // keep the first occurrence
@@ -806,23 +858,31 @@ func (a *Accumulator) addTraffic(e *engineAcc, it *crawler.Iteration) {
 	}
 }
 
-// groupIDs folds n sightings of a value-id multiset into a grouped
-// index: the ids are sorted into canonical order and packed as the
-// group key, so identical multisets share one entry. The ids slice is
-// the caller's scratch and may be reordered.
-func (a *Accumulator) groupIDs(groups map[string]*idGroup, ids []uint32, n int) {
+// groupID interns a value-id multiset as a group: the ids sorted into
+// canonical order and packed little-endian. Identical multisets share
+// one id, so per-group counts take one map entry per distinct multiset
+// and no allocation past its first sighting. The ids slice is the
+// caller's scratch and may be reordered; the set is read back with
+// groupHasUserID.
+func (a *Accumulator) groupID(ids []uint32) uint32 {
 	slices.Sort(ids)
 	b := a.keyScratch[:0]
 	for _, id := range ids {
 		b = append(b, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
 	}
 	a.keyScratch = b
-	g := groups[string(b)]
-	if g == nil {
-		g = &idGroup{values: append([]uint32(nil), ids...)}
-		groups[string(b)] = g
+	return a.groups.IDBytes(b)
+}
+
+// groupMembers calls fn for every value id of one of a's groups (see
+// groupID), stopping when fn returns false.
+func (a *Accumulator) groupMembers(group uint32, fn func(id uint32) bool) {
+	s := a.groups.Str(group)
+	for i := 0; i+4 <= len(s); i += 4 {
+		if !fn(uint32(s[i]) | uint32(s[i+1])<<8 | uint32(s[i+2])<<16 | uint32(s[i+3])<<24) {
+			return
+		}
 	}
-	g.count += n
 }
 
 func appendDistinctID(s []uint32, v uint32) []uint32 {

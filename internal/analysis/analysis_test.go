@@ -14,7 +14,7 @@ var sharedReport *Report
 
 var sharedDataset *crawler.Dataset
 
-func report(t *testing.T) (*Report, *crawler.Dataset) {
+func report(t testing.TB) (*Report, *crawler.Dataset) {
 	t.Helper()
 	if sharedReport == nil {
 		w := websim.NewWorld(websim.Config{Seed: 99, QueriesPerEngine: 60})

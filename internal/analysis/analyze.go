@@ -234,7 +234,10 @@ func AnalyzeSharded(ctx context.Context, ds *crawler.Dataset, opts Options, shar
 	return accs[0].Report(), nil
 }
 
-// IsUserID exposes the classifier verdict for a value.
+// IsUserID exposes the classifier verdict for a value, as of the
+// Report. It resolves the value through the producing accumulator's
+// intern table, so it must not run concurrently with further Adds to
+// that accumulator.
 func (r *Report) IsUserID(value string) bool { return r.classifier.IsUserID(value) }
 
 func sortStrings(s []string) {

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"searchads/internal/tokens"
@@ -144,9 +143,9 @@ func (a *Accumulator) finishDuring(e *engineAcc, cls *tokens.Result) *DuringResu
 	res.TopRedirectors = a.topFreqsIDs(e.redirectorOccurrences, e.totalOccurrences, 8)
 	for _, b := range e.beacons {
 		s := b.s
-		for _, g := range b.valueSets {
-			if anyUserIDAt(g.values, cls) {
-				s.WithUIDCookie += g.count
+		for g, c := range b.valueSets {
+			if a.groupHasUserID(g, cls) {
+				s.WithUIDCookie += c
 			}
 		}
 		res.Beacons = append(res.Beacons, s)
@@ -160,7 +159,7 @@ func (a *Accumulator) finishAfter(e *engineAcc, cls *tokens.Result) *AfterResult
 	other := e.otherEager
 	any := e.anyEager
 	for _, d := range e.otherDeferred {
-		if anyUserIDAt(d.values, cls) {
+		if a.groupHasUserID(d.group, cls) {
 			other++
 			if !d.countedAny {
 				any++
@@ -168,9 +167,9 @@ func (a *Accumulator) finishAfter(e *engineAcc, cls *tokens.Result) *AfterResult
 		}
 	}
 	referrerUID := 0
-	for _, g := range e.referrerCands {
-		if anyUserIDAt(g.values, cls) {
-			referrerUID += g.count
+	for g, c := range e.referrerCands {
+		if a.groupHasUserID(g, cls) {
+			referrerUID += c
 		}
 	}
 	if e.clicks > 0 {
@@ -199,13 +198,15 @@ func (a *Accumulator) topFreqsIDs(counts map[uint32]int, denom, n int) []Freq {
 	return topFreqs(labelled, denom, n)
 }
 
-func anyUserIDAt(ids []uint32, cls *tokens.Result) bool {
-	for _, id := range ids {
-		if cls.UserIDAt(id) {
-			return true
-		}
-	}
-	return false
+// groupHasUserID reports whether the classifier calls any value of a
+// group (see groupID) a user identifier.
+func (a *Accumulator) groupHasUserID(group uint32, cls *tokens.Result) bool {
+	found := false
+	a.groupMembers(group, func(id uint32) bool {
+		found = cls.UserIDAt(id)
+		return !found
+	})
+	return found
 }
 
 // Merge folds another accumulator's state into a, so that a afterwards
@@ -230,6 +231,17 @@ func (a *Accumulator) Merge(b *Accumulator) error {
 	}
 	a.tokens.Merge(b.tokens)
 	remap := func(id uint32) uint32 { return a.tab.ID(b.tab.Str(id)) }
+	// regroup re-keys a value-id group of b's in a's id space: the
+	// remapped ids re-sort into canonical order, so two shards'
+	// sightings of the same value set land in one group.
+	regroup := func(g uint32) uint32 {
+		a.valScratch = a.valScratch[:0]
+		b.groupMembers(g, func(id uint32) bool {
+			a.valScratch = append(a.valScratch, remap(id))
+			return true
+		})
+		return a.groupID(a.valScratch)
+	}
 	for _, name := range b.order {
 		be := b.engines[name]
 		ae := a.engines[name]
@@ -244,7 +256,7 @@ func (a *Accumulator) Merge(b *Accumulator) error {
 			ae.firstSeen = be.firstSeen
 			ae.site = be.site
 		}
-		a.mergeEngine(ae, be, remap)
+		a.mergeEngine(ae, be, remap, regroup)
 	}
 	a.count += b.count
 	if b.next > a.next {
@@ -253,7 +265,7 @@ func (a *Accumulator) Merge(b *Accumulator) error {
 	return nil
 }
 
-func (a *Accumulator) mergeEngine(dst, src *engineAcc, remap func(uint32) uint32) {
+func (a *Accumulator) mergeEngine(dst, src *engineAcc, remap, regroup func(uint32) uint32) {
 	dst.queries += src.queries
 	for cls, c := range src.failures {
 		dst.failures[cls] += c
@@ -296,14 +308,16 @@ func (a *Accumulator) mergeEngine(dst, src *engineAcc, remap func(uint32) uint32
 		nid := remap(kid)
 		db := dst.beacons[nid]
 		if db == nil {
-			db = &beaconAcc{s: BeaconSummary{Endpoint: a.tab.Str(nid)}, valueSets: make(map[string]*idGroup)}
+			db = &beaconAcc{s: BeaconSummary{Endpoint: a.tab.Str(nid)}, valueSets: make(map[uint32]int)}
 			dst.beacons[nid] = db
 		}
 		db.s.Count += sb.s.Count
 		db.s.CarriesDestURL = db.s.CarriesDestURL || sb.s.CarriesDestURL
 		db.s.CarriesQuery = db.s.CarriesQuery || sb.s.CarriesQuery
 		db.s.CarriesPosition = db.s.CarriesPosition || sb.s.CarriesPosition
-		a.mergeGroups(db.valueSets, sb.valueSets, remap)
+		for g, c := range sb.valueSets {
+			db.valueSets[regroup(g)] += c
+		}
 	}
 
 	dst.pagesWithTrackers += src.pagesWithTrackers
@@ -321,13 +335,11 @@ func (a *Accumulator) mergeEngine(dst, src *engineAcc, remap func(uint32) uint32
 	dst.otherEager += src.otherEager
 	dst.anyEager += src.anyEager
 	for _, d := range src.otherDeferred {
-		vals := make([]uint32, len(d.values))
-		for i, v := range d.values {
-			vals[i] = remap(v)
-		}
-		dst.otherDeferred = append(dst.otherDeferred, deferredOther{countedAny: d.countedAny, values: vals})
+		dst.otherDeferred = append(dst.otherDeferred, deferredOther{countedAny: d.countedAny, group: regroup(d.group)})
 	}
-	a.mergeGroups(dst.referrerCands, src.referrerCands, remap)
+	for g, c := range src.referrerCands {
+		dst.referrerCands[regroup(g)] += c
+	}
 	dst.persistedMS += src.persistedMS
 	dst.persistedGC += src.persistedGC
 
@@ -339,18 +351,4 @@ func (a *Accumulator) mergeEngine(dst, src *engineAcc, remap func(uint32) uint32
 	dst.requests += src.requests
 	dst.thirdParty += src.thirdParty
 	dst.clickBlocked += src.clickBlocked
-}
-
-// mergeGroups folds src's grouped value-id multisets into dst, re-keyed
-// in a's id space: remapped ids re-sort into canonical order, so two
-// shards' sightings of the same value set land in one group.
-func (a *Accumulator) mergeGroups(dst, src map[string]*idGroup, remap func(uint32) uint32) {
-	for _, g := range src {
-		a.valScratch = a.valScratch[:0]
-		for _, v := range g.values {
-			a.valScratch = append(a.valScratch, remap(v))
-		}
-		slices.Sort(a.valScratch)
-		a.groupIDs(dst, a.valScratch, g.count)
-	}
 }

@@ -43,9 +43,11 @@ func (e *scriptEnv) SetDocumentCookie(c *netsim.Cookie) {
 	e.b.jar.SetCookies(e.Now(), e.pageURL, e.firstParty, []*netsim.Cookie{c})
 }
 
-// DocumentCookies lists the cookies visible to the page document.
-func (e *scriptEnv) DocumentCookies() []*netsim.Cookie {
-	return e.b.jar.Cookies(e.Now(), e.pageURL, e.firstParty, false)
+// DocumentCookie returns the value of the named cookie visible to the
+// page document: the cookies a same-document subresource request to
+// the page's URL would carry.
+func (e *scriptEnv) DocumentCookie(name string) (string, bool) {
+	return e.b.jar.Cookie(e.Now(), e.pageURL, e.firstParty, name)
 }
 
 // LocalStorageSet writes to the page origin's storage area.

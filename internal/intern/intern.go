@@ -15,6 +15,8 @@
 // merging shards.
 package intern
 
+import "slices"
+
 // None is the sentinel id returned by Lookup for unknown strings. Valid
 // ids are dense and start at 0, so None can never collide with one
 // until a table holds 2^32-1 distinct strings.
@@ -36,10 +38,7 @@ func (t *Table) ID(s string) uint32 {
 	if id, ok := t.ids[s]; ok {
 		return id
 	}
-	id := uint32(len(t.strs))
-	t.strs = append(t.strs, s)
-	t.ids[s] = id
-	return id
+	return t.add(s)
 }
 
 // IDBytes is ID for a byte-slice key (scratch buffers building composite
@@ -49,8 +48,18 @@ func (t *Table) IDBytes(b []byte) uint32 {
 	if id, ok := t.ids[string(b)]; ok {
 		return id
 	}
-	s := string(b)
+	return t.add(string(b))
+}
+
+// add interns a string the table does not hold. The id slice's
+// capacity doubles when it must grow: append's gentler growth for large
+// slices would copy a table of tens of thousands of strings about five
+// times over while it fills.
+func (t *Table) add(s string) uint32 {
 	id := uint32(len(t.strs))
+	if len(t.strs) == cap(t.strs) {
+		t.strs = slices.Grow(t.strs, max(len(t.strs), 16))
+	}
 	t.strs = append(t.strs, s)
 	t.ids[s] = id
 	return id
@@ -60,6 +69,14 @@ func (t *Table) IDBytes(b []byte) uint32 {
 // never been interned.
 func (t *Table) Lookup(s string) uint32 {
 	if id, ok := t.ids[s]; ok {
+		return id
+	}
+	return None
+}
+
+// LookupBytes is Lookup for a byte-slice key. It allocates nothing.
+func (t *Table) LookupBytes(b []byte) uint32 {
+	if id, ok := t.ids[string(b)]; ok {
 		return id
 	}
 	return None

@@ -223,8 +223,10 @@ type ScriptEnv interface {
 	// SetDocumentCookie stores a first-party cookie via document.cookie
 	// semantics (subject to the jar's partitioning rules).
 	SetDocumentCookie(c *Cookie)
-	// DocumentCookies lists cookies visible to the document.
-	DocumentCookies() []*Cookie
+	// DocumentCookie returns the value of the named cookie visible to
+	// the document (document.cookie's view: the first such cookie in
+	// send order), and whether there is one.
+	DocumentCookie(name string) (string, bool)
 	// LocalStorageSet writes to the document origin's localStorage.
 	LocalStorageSet(key, value string)
 	// LocalStorageGet reads from the document origin's localStorage.

@@ -253,13 +253,57 @@ func (j *Jar) Cookies(now time.Time, u *url.URL, firstParty string, topLevelNav 
 	if u == nil || j.n == 0 {
 		return nil
 	}
+	var buf [16]*StoredCookie
+	matched := buf[:0]
+	j.visible(now, u, firstParty, topLevelNav, func(sc *StoredCookie) {
+		matched = append(matched, sc)
+	})
+	if len(matched) == 0 {
+		return nil
+	}
+	slices.SortFunc(matched, sendOrder)
+	// One backing array for the result cookies instead of one heap
+	// object per cookie: this runs for every request the browser sends.
+	backing := make([]netsim.Cookie, len(matched))
+	out := make([]*netsim.Cookie, len(matched))
+	for i, sc := range matched {
+		backing[i] = netsim.Cookie{Name: sc.Name, Value: sc.Value}
+		out[i] = &backing[i]
+	}
+	return out
+}
+
+// Cookie returns the value of the named cookie among those a
+// subresource request for u would carry (Cookies with topLevelNav
+// false) — document.cookie's view — and whether there is one: the
+// first in Cookies' order when several share the name (different
+// paths, domains or partitions). It allocates nothing. Like Cookies,
+// it first deletes every expired cookie from the jar.
+func (j *Jar) Cookie(now time.Time, u *url.URL, firstParty, name string) (string, bool) {
+	if u == nil || j.n == 0 {
+		return "", false
+	}
+	var best *StoredCookie
+	j.visible(now, u, firstParty, false, func(sc *StoredCookie) {
+		if sc.Name == name && (best == nil || sendOrder(sc, best) < 0) {
+			best = sc
+		}
+	})
+	if best == nil {
+		return "", false
+	}
+	return best.Value, true
+}
+
+// visible purges expired cookies and calls fn for every cookie a
+// request for u from a tab on firstParty carries (see Cookies), in
+// storage order.
+func (j *Jar) visible(now time.Time, u *url.URL, firstParty string, topLevelNav bool, fn func(*StoredCookie)) {
 	j.purge(now)
 	host := strings.ToLower(urlx.Hostname(u.Host))
 	requestSite := urlx.RegistrableDomain(host)
 	crossSite := firstParty != "" && requestSite != firstParty
 
-	var buf [16]*StoredCookie
-	matched := buf[:0]
 	for _, list := range [2][]*StoredCookie{j.sites[requestSite], j.wide} {
 		for _, sc := range list {
 			if sc.PartitionKey != "" && sc.PartitionKey != firstParty {
@@ -287,39 +331,28 @@ func (j *Jar) Cookies(now time.Time, u *url.URL, firstParty string, topLevelNav 
 			if crossSite && topLevelNav && sc.SameSite == netsim.SameSiteStrict {
 				continue
 			}
-			matched = append(matched, sc)
+			fn(sc)
 		}
 	}
-	if len(matched) == 0 {
-		return nil
+}
+
+// sendOrder is the RFC 6265 serialisation order: longer paths first,
+// then by creation; name, domain and partition break the remaining
+// ties, so the order is total (two matching cookies with equal path
+// lengths have equal paths, and name, domain, path and partition
+// identify a cookie).
+func sendOrder(a, b *StoredCookie) int {
+	if c := cmp.Compare(len(b.Path), len(a.Path)); c != 0 {
+		return c
 	}
-	// RFC 6265 serialisation order: longer paths first, then by
-	// creation; name, domain and partition break the remaining ties, so
-	// the order is total (two matching cookies with equal path lengths
-	// have equal paths, and name, domain, path and partition identify a
-	// cookie).
-	slices.SortFunc(matched, func(a, b *StoredCookie) int {
-		if c := cmp.Compare(len(b.Path), len(a.Path)); c != 0 {
-			return c
-		}
-		if c := a.Created.Compare(b.Created); c != 0 {
-			return c
-		}
-		return cmp.Or(
-			strings.Compare(a.Name, b.Name),
-			strings.Compare(a.Domain, b.Domain),
-			strings.Compare(a.PartitionKey, b.PartitionKey),
-		)
-	})
-	// One backing array for the result cookies instead of one heap
-	// object per cookie: this runs for every request the browser sends.
-	backing := make([]netsim.Cookie, len(matched))
-	out := make([]*netsim.Cookie, len(matched))
-	for i, sc := range matched {
-		backing[i] = netsim.Cookie{Name: sc.Name, Value: sc.Value}
-		out[i] = &backing[i]
+	if c := a.Created.Compare(b.Created); c != 0 {
+		return c
 	}
-	return out
+	return cmp.Or(
+		strings.Compare(a.Name, b.Name),
+		strings.Compare(a.Domain, b.Domain),
+		strings.Compare(a.PartitionKey, b.PartitionKey),
+	)
 }
 
 // each calls fn for every stored cookie, in no particular order.

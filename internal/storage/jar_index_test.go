@@ -143,6 +143,23 @@ func TestJarMatchesLinearModel(t *testing.T) {
 						t.Fatalf("seed %d step %d: Cookies(%s)[%d] = %s=%s, want %s", seed, step, u, i, c.Name, c.Value, want[i])
 					}
 				}
+				// Cookie is the first of a subresource request's
+				// cookies with the name.
+				for _, name := range names {
+					if top {
+						continue
+					}
+					wv, wok := "", false
+					for _, w := range want {
+						if _, nv, _ := strings.Cut(w, "|"); strings.HasPrefix(nv, name+"=") {
+							wv, wok = strings.TrimPrefix(nv, name+"="), true
+							break
+						}
+					}
+					if v, ok := j.Cookie(now, u, firstParty, name); v != wv || ok != wok {
+						t.Fatalf("seed %d step %d: Cookie(%s, %s) = %q, %v, want %q, %v", seed, step, u, name, v, ok, wv, wok)
+					}
+				}
 			}
 			if j.Len() != len(m.cookies) {
 				t.Fatalf("seed %d step %d: Len = %d, want %d", seed, step, j.Len(), len(m.cookies))
@@ -241,6 +258,22 @@ func TestJarCookiesAllocs(t *testing.T) {
 	miss := urlx.MustParse("https://www.elsewhere.example/")
 	if got := testing.AllocsPerRun(100, func() { j.Cookies(now, miss, "elsewhere.example", true) }); got != 0 {
 		t.Errorf("Jar.Cookies (no match) allocs = %v, want 0", got)
+	}
+}
+
+// TestJarCookieAllocs gates Jar.Cookie — the document.cookie lookup
+// tracker scripts make — at zero allocations, found or not.
+func TestJarCookieAllocs(t *testing.T) {
+	j, u := benchJar()
+	now := t0.Add(time.Minute)
+	if v, ok := j.Cookie(now, u, "site5.example", "uid"); !ok || v != "2" {
+		t.Fatalf("Jar.Cookie(uid) = %q, %v, want \"2\", true", v, ok)
+	}
+	if got := testing.AllocsPerRun(100, func() { j.Cookie(now, u, "site5.example", "uid") }); got != 0 {
+		t.Errorf("Jar.Cookie allocs = %v, want 0", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { j.Cookie(now, u, "site5.example", "absent") }); got != 0 {
+		t.Errorf("Jar.Cookie (no match) allocs = %v, want 0", got)
 	}
 }
 

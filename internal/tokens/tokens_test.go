@@ -2,7 +2,10 @@ package tokens
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -278,7 +281,7 @@ func TestClassifyFunnelShape(t *testing.T) {
 }
 
 // Property: classification is deterministic regardless of observation
-// order (the pipeline sorts internally).
+// order.
 func TestClassifyOrderInvariance(t *testing.T) {
 	a := []Observation{
 		obs("k1", "ValueOne1234567", "i1", -1, false),
@@ -287,10 +290,72 @@ func TestClassifyOrderInvariance(t *testing.T) {
 	}
 	b := []Observation{a[2], a[0], a[1]}
 	ra, rb := Classify(a), Classify(b)
-	for v := range ra.reasons {
-		if ra.ReasonFor(v) != rb.ReasonFor(v) {
-			t.Fatalf("order-dependent classification for %q", v)
+	for _, o := range a {
+		if ra.ReasonFor(o.Value) == "" || ra.ReasonFor(o.Value) != rb.ReasonFor(o.Value) {
+			t.Fatalf("order-dependent classification for %q: %q vs %q", o.Value, ra.ReasonFor(o.Value), rb.ReasonFor(o.Value))
 		}
+	}
+}
+
+// A Result is a snapshot: observations arriving after it was taken —
+// ones that would flip a verdict, and values it never saw — change
+// none of its answers.
+func TestResultSnapshot(t *testing.T) {
+	acc := NewAccumulator()
+	acc.Observe(obs("uid", "StableUid12345678", "i1", -1, false))
+	acc.Observe(obs("pref", "settings", "i1", -1, false))
+	res := acc.Result()
+	if !res.IsUserID("StableUid12345678") || res.ReasonFor("settings") != ReasonHeuristics {
+		t.Fatalf("before: uid %v, settings %q", res.IsUserID("StableUid12345678"), res.ReasonFor("settings"))
+	}
+	// A second instance makes the identifier a constant; a new value
+	// is interned past the snapshot.
+	acc.Observe(obs("uid", "StableUid12345678", "i2", -1, false))
+	acc.Observe(obs("late", "LateValue98765432", "i2", -1, false))
+	if !res.IsUserID("StableUid12345678") || res.ReasonFor("StableUid12345678") != ReasonUserID {
+		t.Errorf("snapshot verdict changed to %q", res.ReasonFor("StableUid12345678"))
+	}
+	if res.ReasonFor("LateValue98765432") != "" || res.IsUserID("LateValue98765432") {
+		t.Errorf("value observed after the snapshot: reason %q", res.ReasonFor("LateValue98765432"))
+	}
+	if res.ReasonFor("never-seen-value") != "" || res.IsUserID("never-seen-value") {
+		t.Errorf("never-seen value: reason %q", res.ReasonFor("never-seen-value"))
+	}
+	// Strings the table holds that are no token value (keys, hosts,
+	// instances) have no verdict either.
+	for _, s := range []string{"uid", "x.example", "i1", string(SourceCookie)} {
+		if r := res.ReasonFor(s); r != "" {
+			t.Errorf("ReasonFor(%q) = %q, want \"\"", s, r)
+		}
+	}
+	if later := acc.Result(); later.ReasonFor("StableUid12345678") != ReasonCrossInstance || !later.IsUserID("LateValue98765432") {
+		t.Errorf("later Result: uid %q, late %q", later.ReasonFor("StableUid12345678"), later.ReasonFor("LateValue98765432"))
+	}
+}
+
+// IsDictionaryWord folds case in a stack buffer for ASCII words and
+// through strings.ToLower otherwise; both must agree with lowercasing
+// first and then looking the word up.
+func TestIsDictionaryWordCaseFolding(t *testing.T) {
+	for _, w := range []string{
+		"search", "SEARCH", "SeArCh", "Settings", "dark", "xk42jq", "",
+		"K",                             // ASCII K
+		"\u212a",                        // Kelvin sign: strings.ToLower gives ASCII "k"
+		"\u212aey",                      // Kelvin sign + "ey" lowercases to "key"
+		"Caf\u00e9",                     // non-ASCII, not a word
+		"se\xffarch", "\xff", "key\x80", // invalid UTF-8
+		strings.Repeat("a", 100), strings.Repeat("A", 65),
+	} {
+		_, want := dictionary[strings.ToLower(w)]
+		if got := IsDictionaryWord(w); got != want {
+			t.Errorf("IsDictionaryWord(%q) = %v, strings.ToLower lookup = %v", w, got, want)
+		}
+	}
+	if !IsDictionaryWord("\u212aey") {
+		t.Error(`IsDictionaryWord("\u212aey") = false: the Kelvin sign lowercases to "k"`)
+	}
+	if got := testing.AllocsPerRun(100, func() { IsDictionaryWord("SeArCh") }); got != 0 {
+		t.Errorf("IsDictionaryWord of a mixed-case ASCII word allocates %v times, want 0", got)
 	}
 }
 
@@ -320,6 +385,69 @@ func TestLooksLikePhraseUnicodeWhitespace(t *testing.T) {
 	for _, v := range []string{"foo©bar baz", "id-12345 x", "single", ""} {
 		if LooksLikePhrase(v) {
 			t.Fatalf("LooksLikePhrase(%q) = true, want false", v)
+		}
+	}
+}
+
+// Property: accumulators over any partition of an observation stream,
+// each interning through its own table, Merge into the classification
+// of the unpartitioned fold — including filter (ii) contexts whose ad
+// indexes and values are split across shards, and filter (iii)
+// contexts whose base visit and revisit land in different shards.
+func TestAccumulatorMergePartition(t *testing.T) {
+	for seed := int64(1); seed <= 30; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		var stream []Observation
+		for i := 0; i < 300; i++ {
+			inst := r.Intn(5)
+			o := Observation{
+				Key:      fmt.Sprintf("k%d", r.Intn(4)),
+				Value:    fmt.Sprintf("Val%dQz9x%dWv", inst, r.Intn(12)), // seen in one instance
+				Source:   []Source{SourceCookie, SourceQueryParam}[r.Intn(2)],
+				Host:     fmt.Sprintf("h%d.example", r.Intn(2)),
+				Instance: fmt.Sprintf("i%d", inst),
+				AdIndex:  -1,
+				Revisit:  r.Intn(3) == 0,
+			}
+			switch r.Intn(10) {
+			case 0:
+				o.Value = fmt.Sprintf("Shared%dQz9xWv", r.Intn(3)) // may cross instances
+			case 1: // a heuristics verdict to memoise, in a base-only context
+				o.Key, o.Value, o.Revisit = "pref", fmt.Sprintf("s%d", inst), false
+			case 2: // an identifier that survives every filter
+				o.Key, o.Value, o.Revisit = "uid", fmt.Sprintf("Uid%dKq9ZtPv8Lw", inst), false
+			case 3, 4:
+				o.AdIndex = r.Intn(3)
+			}
+			stream = append(stream, o)
+		}
+		want := Classify(stream)
+		shards := make([]*Accumulator, 1+r.Intn(4))
+		for k := range shards {
+			shards[k] = NewAccumulator()
+		}
+		for _, o := range stream {
+			shards[r.Intn(len(shards))].Observe(o)
+		}
+		shards[0].Result() // a memo filled before the merge must not matter
+		for _, s := range shards[1:] {
+			s.Result()
+			shards[0].Merge(s)
+		}
+		got := shards[0].Result()
+		for _, reason := range []Reason{ReasonCrossInstance, ReasonAdIdentifier, ReasonSessionID, ReasonHeuristics, ReasonUserID} {
+			if want.ByReason[reason] == 0 {
+				t.Fatalf("seed %d: the stream exercises no %s verdict: %v", seed, reason, want.ByReason)
+			}
+		}
+		if got.TotalTokens != want.TotalTokens || !reflect.DeepEqual(got.ByReason, want.ByReason) {
+			t.Fatalf("seed %d, %d shards: funnel %d %v, want %d %v", seed, len(shards),
+				got.TotalTokens, got.ByReason, want.TotalTokens, want.ByReason)
+		}
+		for _, o := range stream {
+			if got.ReasonFor(o.Value) != want.ReasonFor(o.Value) {
+				t.Fatalf("seed %d: %q merged %q, want %q", seed, o.Value, got.ReasonFor(o.Value), want.ReasonFor(o.Value))
+			}
 		}
 	}
 }

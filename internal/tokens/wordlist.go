@@ -1,13 +1,40 @@
 package tokens
 
-import "strings"
+import (
+	"strings"
+	"unicode/utf8"
+)
 
 // IsDictionaryWord reports whether w (lowercased) is in the embedded
 // English wordlist. The paper used PyEnchant; we embed a compact list of
 // common words plus the vocabulary that actually occurs in web-tracking
 // parameter values (preferences, UI state, locales).
+//
+// ASCII words are lowercased into a stack buffer, so the lookup does
+// not allocate; a word with any other byte goes through
+// strings.ToLower, whose Unicode folding can shrink it to ASCII (the
+// Kelvin sign lowercases to "k").
 func IsDictionaryWord(w string) bool {
-	_, ok := dictionary[strings.ToLower(w)]
+	var buf [64]byte
+	if len(w) > len(buf) {
+		return inDictionary(strings.ToLower(w))
+	}
+	for i := 0; i < len(w); i++ {
+		c := w[i]
+		if c >= utf8.RuneSelf {
+			return inDictionary(strings.ToLower(w))
+		}
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	_, ok := dictionary[string(buf[:len(w)])]
+	return ok
+}
+
+func inDictionary(lower string) bool {
+	_, ok := dictionary[lower]
 	return ok
 }
 

@@ -80,3 +80,29 @@ func FuzzAppendQueryEscape(f *testing.F) {
 		}
 	})
 }
+
+// FuzzAppendQueryUnescape: the buffer decode equals url.QueryUnescape —
+// the same bytes after the existing prefix on success, a refusal with
+// the same error (and the prefix untouched) on the same inputs.
+func FuzzAppendQueryUnescape(f *testing.F) {
+	for _, s := range []string{"", "plain", "+", "a+b", "%2B", "%2b%20x", "%4", "%zz", "%%", "%", "x%4g",
+		"uniçode✓", "%C3%A7+%E2%9C%93", "https%3A%2F%2Fa.example%2Fb%3Fc%3Dd"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		want, wantErr := url.QueryUnescape(s)
+		got, err := AppendQueryUnescape([]byte("pre"), s)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("AppendQueryUnescape(%q) err = %v, url.QueryUnescape err = %v", s, err, wantErr)
+		}
+		if err != nil {
+			if err.Error() != wantErr.Error() || string(got) != "pre" {
+				t.Fatalf("AppendQueryUnescape(%q) = (%q, %v), want (\"pre\", %v)", s, got, err, wantErr)
+			}
+			return
+		}
+		if string(got) != "pre"+want {
+			t.Fatalf("AppendQueryUnescape(%q) = %q, want pre%q", s, got, want)
+		}
+	})
+}

@@ -396,6 +396,32 @@ func AppendQuery(b *strings.Builder, key, value string) {
 // analysis hot path, which walks every recorded URL's parameters once
 // per crawl iteration and must not build a map per URL.
 func QueryPairs(rawQuery string, fn func(key, value string) bool) {
+	RawQueryPairs(rawQuery, func(k, v string) bool {
+		if strings.ContainsAny(k, "%+") {
+			dec, err := url.QueryUnescape(k)
+			if err != nil {
+				return true
+			}
+			k = dec
+		}
+		if strings.ContainsAny(v, "%+") {
+			dec, err := url.QueryUnescape(v)
+			if err != nil {
+				return true
+			}
+			v = dec
+		}
+		return fn(k, v)
+	})
+}
+
+// RawQueryPairs is QueryPairs without the unescaping: it yields each
+// pair's key and value exactly as they appear in the raw query, for
+// callers that decode into their own buffers (AppendQueryUnescape).
+// Pairs QueryPairs would drop for a ';' or an empty segment are
+// dropped here too; pairs with a malformed escape are not, since
+// detecting one is the decode's job.
+func RawQueryPairs(rawQuery string, fn func(key, value string) bool) {
 	q := rawQuery
 	for q != "" {
 		var pair string
@@ -411,24 +437,55 @@ func QueryPairs(rawQuery string, fn func(key, value string) bool) {
 		if i := strings.IndexByte(pair, '='); i >= 0 {
 			k, v = pair[:i], pair[i+1:]
 		}
-		if strings.ContainsAny(k, "%+") {
-			dec, err := url.QueryUnescape(k)
-			if err != nil {
-				continue
-			}
-			k = dec
-		}
-		if strings.ContainsAny(v, "%+") {
-			dec, err := url.QueryUnescape(v)
-			if err != nil {
-				continue
-			}
-			v = dec
-		}
 		if !fn(k, v) {
 			return
 		}
 	}
+}
+
+// AppendQueryUnescape appends url.QueryUnescape(s) to dst: '+' becomes
+// a space and each %XX escape its byte. On a malformed escape it
+// returns dst unextended and the url.EscapeError url.QueryUnescape
+// returns. Decoding into a reused buffer lets a caller that only needs
+// the decoded bytes briefly (to look them up, or to intern them) skip
+// the string url.QueryUnescape allocates.
+func AppendQueryUnescape(dst []byte, s string) ([]byte, error) {
+	n := len(dst)
+	for {
+		i := strings.IndexAny(s, "%+")
+		if i < 0 {
+			return append(dst, s...), nil
+		}
+		dst = append(dst, s[:i]...)
+		if s[i] == '+' {
+			dst = append(dst, ' ')
+			s = s[i+1:]
+			continue
+		}
+		if i+2 >= len(s) || !isHex(s[i+1]) || !isHex(s[i+2]) {
+			bad := s[i:]
+			if len(bad) > 3 {
+				bad = bad[:3]
+			}
+			return dst[:n], url.EscapeError(bad)
+		}
+		dst = append(dst, unhex(s[i+1])<<4|unhex(s[i+2]))
+		s = s[i+3:]
+	}
+}
+
+func isHex(c byte) bool {
+	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
+}
+
+func unhex(c byte) byte {
+	switch {
+	case c <= '9':
+		return c - '0'
+	case c >= 'a':
+		return c - 'a' + 10
+	}
+	return c - 'A' + 10
 }
 
 // splitHostByte reports whether b may appear in SplitURL's fast-path
